@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .games import ZERO, Game, JointDistribution, JointStrategy
-from .simplex import EQ, GE, Constraint, LpProblem, simplex_solve
+from .simplex import EQ, GE, Constraint, LpProblem, simplex_sequence
 
 
 class CeObjective(Enum):
@@ -104,7 +104,7 @@ def build_ce_lp(game: Game, objective: CeObjective = CeObjective.MAX_TOTAL_LEX) 
 
     The objective vector is the total payoff for MAX_TOTAL_LEX and zero
     otherwise (MAX_FAIR's maximin step is not a fixed linear functional;
-    :func:`solve_ce` performs it via an epigraph reformulation).
+    :func:`solve_ce` adds epigraph columns for it).
     """
     n = game.n_cells
     rows = deviation_constraints(game) + _nonnegativity_constraints(n) + [_sum_to_one(n)]
@@ -115,31 +115,21 @@ def build_ce_lp(game: Game, objective: CeObjective = CeObjective.MAX_TOTAL_LEX) 
     return LpProblem(vector, tuple(rows))
 
 
-def _maximize(vector: Sequence[Fraction], rows: Sequence[Constraint]) -> Fraction:
-    return simplex_solve(LpProblem(tuple(vector), tuple(rows))).objective_value
-
-
 def _unit(n: int, i: int) -> tuple[Fraction, ...]:
     coeffs = [ZERO] * n
     coeffs[i] = Fraction(1)
     return tuple(coeffs)
 
 
-def _maximin_payoff(game: Game, rows: list[Constraint]) -> Fraction:
-    """Best achievable min-player payoff, via an epigraph split t = t+ - t-."""
-    n = game.n_cells
-    wide = n + 2
-    widened = [Constraint(c.coeffs + (ZERO, ZERO), c.relation, c.rhs) for c in rows]
-    for player in (1, 2):
-        coeffs = payoff_vector(game, player) + (Fraction(-1), Fraction(1))
-        widened.append(Constraint(coeffs, GE, ZERO))
-    objective = tuple([ZERO] * n + [Fraction(1), Fraction(-1)])
-    assert len(objective) == wide
-    return simplex_solve(LpProblem(objective, tuple(widened))).objective_value
-
-
 def solve_ce(game: Game, objective: CeObjective = CeObjective.MAX_TOTAL_LEX) -> JointDistribution:
     """Compute a correlated equilibrium under the chosen selection rule.
+
+    All selection steps form one lexicographic sequence on one tableau
+    (:func:`ce_sampler.simplex.simplex_sequence`).  MAX_FAIR maximizes
+    the worse player's payoff through two extra epigraph columns
+    t = t+ - t- with rows u_p . x >= t, then the total payoff, then each
+    profile probability in row-major order; MAX_TOTAL_LEX drops the first
+    step and FEASIBLE the first two.  The last step leaves a single point.
 
     The CE polytope is never empty (every mixed equilibrium lies inside
     it), so this always returns a distribution; it passes
@@ -147,28 +137,20 @@ def solve_ce(game: Game, objective: CeObjective = CeObjective.MAX_TOTAL_LEX) -> 
     identical output.
     """
     n = game.n_cells
-    base = build_ce_lp(game, objective)
-    rows = list(base.constraints)
-
+    rows = list(build_ce_lp(game, objective).constraints)
+    steps = [_unit(n, i) for i in range(n)]
+    if objective is not CeObjective.FEASIBLE:
+        steps.insert(0, total_payoff_vector(game))
     if objective is CeObjective.MAX_FAIR:
-        floor = _maximin_payoff(game, rows)
+        # epigraph columns t+, t- with t = t+ - t- <= u_p . x for both players
+        rows = [Constraint(c.coeffs + (ZERO, ZERO), c.relation, c.rhs) for c in rows]
         for player in (1, 2):
-            rows.append(Constraint(payoff_vector(game, player), GE, floor))
+            coeffs = payoff_vector(game, player) + (Fraction(-1), Fraction(1))
+            rows.append(Constraint(coeffs, GE, ZERO))
+        steps = [(ZERO,) * n + (Fraction(1), Fraction(-1))] + [v + (ZERO, ZERO) for v in steps]
 
-    if objective in (CeObjective.MAX_FAIR, CeObjective.MAX_TOTAL_LEX):
-        total = total_payoff_vector(game)
-        best_total = _maximize(total, rows)
-        rows.append(Constraint(total, EQ, best_total))
-
-    order = cell_order(game)
-    probs: dict[JointStrategy, Fraction] = {}
-    for i, cell in enumerate(order):
-        vector = _unit(n, i)
-        value = _maximize(vector, rows)
-        rows.append(Constraint(vector, EQ, value))
-        if value:
-            probs[cell] = value
-    return JointDistribution(probs)
+    point = simplex_sequence(rows, steps)[-1].values
+    return JointDistribution({cell: v for cell, v in zip(cell_order(game), point) if v})
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +222,9 @@ def ce_slice_bounds(
 
     When min == max for every profile the slice is a single point — the
     workhorse for uniqueness arguments in games too large to enumerate.
-    Raises LpInfeasibleError if the slice is empty.
+    The 2n bounds are one unrestricted sequence on one tableau, each
+    starting from the previous optimal basis.  Raises LpInfeasibleError
+    if the slice is empty.
     """
     n = game.n_cells
     rows = (
@@ -249,10 +233,9 @@ def ce_slice_bounds(
         + [_sum_to_one(n)]
         + list(extra)
     )
-    bounds = []
+    objectives = []
     for i in range(n):
         vector = _unit(n, i)
-        hi = _maximize(vector, rows)
-        lo = -_maximize(tuple(-c for c in vector), rows)
-        bounds.append((lo, hi))
-    return bounds
+        objectives += [vector, tuple(-c for c in vector)]
+    values = [s.objective_value for s in simplex_sequence(rows, objectives, lexicographic=False)]
+    return [(-values[2 * i + 1], values[2 * i]) for i in range(n)]

@@ -1,4 +1,4 @@
-"""Exact-arithmetic linear programming via a dense two-phase simplex.
+"""Exact-arithmetic linear programming via a two-phase simplex.
 
 The solver maximizes a linear objective over nonnegative rational
 variables subject to <=, >= and == constraints.  All pivoting is done on
@@ -7,7 +7,14 @@ Bland's rule (lowest eligible index, lowest basis index on ratio ties),
 so every run terminates and identical inputs produce identical output —
 the two properties the equilibrium layer depends on.
 
-Sizes here are small (tens of rows); no effort is spent on sparsity.
+The tableau is stored densely, but a pivot updates only the columns where
+the normalized pivot row is nonzero, which on 3×3 CE polytopes is about a
+quarter of the row.  :func:`simplex_sequence` optimizes a sequence of objectives
+on one tableau: phase 1 runs once, and each later objective starts from
+the previous optimal basis.  In a lexicographic sequence each step is
+restricted to the optimal face of the steps before it (Isermann 1982,
+"Linear lexicographic optimization") by banning from entry every column
+whose reduced cost was positive at an earlier optimum.
 """
 
 from __future__ import annotations
@@ -85,9 +92,9 @@ def _is_implied_nonnegativity(con: Constraint) -> bool:
 
 
 class _Tableau:
-    def __init__(self, lp: LpProblem):
-        rows = [c for c in lp.constraints if not _is_implied_nonnegativity(c)]
-        self.n = lp.n_vars
+    def __init__(self, constraints: Sequence[Constraint], n_vars: int):
+        rows = [c for c in constraints if not _is_implied_nonnegativity(c)]
+        self.n = n_vars
         slack_rows = [i for i, c in enumerate(rows) if c.relation != EQ]
         self.n_slack = len(slack_rows)
         m = len(rows)
@@ -115,10 +122,9 @@ class _Tableau:
             self.basis.append(art)
         self.first_artificial = self.n + self.n_slack
 
-    def _objective_row(self, cost: list[Fraction]) -> tuple[list[Fraction], Fraction]:
+    def _objective_row(self, cost: list[Fraction]) -> list[Fraction]:
         # reduced costs z_j - c_j for the current basis
         z = [ZERO] * self.width
-        z0 = ZERO
         for i, b in enumerate(self.basis):
             cb = cost[b]
             if cb:
@@ -126,39 +132,42 @@ class _Tableau:
                 for j in range(self.width):
                     if row[j]:
                         z[j] += cb * row[j]
-                z0 += cb * self.rhs[i]
-        return [z[j] - cost[j] for j in range(self.width)], z0
+        return [z[j] - cost[j] for j in range(self.width)]
 
     def _pivot(self, row: int, col: int, zrow: list[Fraction]) -> None:
-        pivot = self.matrix[row][col]
         line = self.matrix[row]
-        inv = 1 / pivot
-        self.matrix[row] = [v * inv for v in line]
-        self.rhs[row] *= inv
+        pivot = line[col]
+        if pivot != 1:
+            inv = 1 / pivot
+            line = [v * inv if v else v for v in line]
+            self.matrix[row] = line
+            self.rhs[row] *= inv
+        # Subtracting a multiple of a zero entry changes nothing, so only
+        # the nonzero columns of the pivot row are updated.
+        support = [(j, v) for j, v in enumerate(line) if v]
+        b = self.rhs[row]
         for i, other in enumerate(self.matrix):
-            if i != row and other[col]:
-                factor = other[col]
-                src = self.matrix[row]
-                self.matrix[i] = [a - factor * b for a, b in zip(other, src)]
-                self.rhs[i] -= factor * self.rhs[row]
-        if zrow[col]:
-            factor = zrow[col]
-            src = self.matrix[row]
-            for j in range(self.width):
-                zrow[j] -= factor * src[j]
+            factor = other[col]
+            if factor and i != row:
+                for j, v in support:
+                    other[j] -= factor * v
+                self.rhs[i] -= factor * b
+        factor = zrow[col]
+        if factor:
+            for j, v in support:
+                zrow[j] -= factor * v
         self.basis[row] = col
 
-    def run(self, cost: list[Fraction], allowed: int) -> Fraction:
-        """Bland-rule simplex over columns [0, allowed); returns the optimum."""
-        zrow, z0 = self._objective_row(cost)
+    def run(self, cost: list[Fraction], columns: Sequence[int]) -> list[Fraction]:
+        """Bland-rule simplex entering only ``columns`` (ascending).
+
+        Returns the reduced-cost row of the optimal basis.
+        """
+        zrow = self._objective_row(cost)
         while True:
-            entering = next((j for j in range(allowed) if zrow[j] < 0), None)
+            entering = next((j for j in columns if zrow[j] < 0), None)
             if entering is None:
-                value = ZERO
-                for i, b in enumerate(self.basis):
-                    if cost[b]:
-                        value += cost[b] * self.rhs[i]
-                return value
+                return zrow
             best_row, best_ratio = None, None
             for i, line in enumerate(self.matrix):
                 coeff = line[entering]
@@ -170,6 +179,20 @@ class _Tableau:
             if best_row is None:
                 raise LpUnboundedError(f"column {entering} has no blocking row")
             self._pivot(best_row, entering, zrow)
+
+    def value(self, cost: list[Fraction]) -> Fraction:
+        total = ZERO
+        for i, b in enumerate(self.basis):
+            if cost[b]:
+                total += cost[b] * self.rhs[i]
+        return total
+
+    def point(self) -> tuple[Fraction, ...]:
+        x = [ZERO] * self.n
+        for i, b in enumerate(self.basis):
+            if b < self.n:
+                x[b] = self.rhs[i]
+        return tuple(x)
 
     def drive_out_artificials(self) -> None:
         limit = self.first_artificial
@@ -186,28 +209,55 @@ class _Tableau:
             row += 1
 
 
+def simplex_sequence(
+    constraints: Sequence[Constraint],
+    objectives: Sequence[Sequence],
+    lexicographic: bool = True,
+) -> list[LpSolution]:
+    """Maximize each of ``objectives`` in turn over ``constraints`` and x >= 0.
+
+    All steps share one tableau: phase 1 runs once, and each step starts
+    from the optimal basis of the step before it.  With ``lexicographic``
+    each step maximizes over the optimal face of all earlier steps; after
+    a step, the columns with a positive reduced cost are banned from
+    entering, which holds them at zero and so keeps every earlier optimum.
+    Without it, every step maximizes over the whole feasible region.
+
+    Returns one optimal vertex and value per step.  Raises
+    :class:`LpInfeasibleError` / :class:`LpUnboundedError` when the
+    constraints have no solution or a step has no finite optimum.
+    """
+    costs = [LpProblem(objective, tuple(constraints)).objective for objective in objectives]
+    n = len(costs[0])
+    if any(len(cost) != n for cost in costs):
+        raise ValueError("objective lengths differ")
+    tab = _Tableau(constraints, n)
+
+    phase1_cost = [ZERO] * tab.width
+    for j in range(tab.first_artificial, tab.width):
+        phase1_cost[j] = Fraction(-1)
+    tab.run(phase1_cost, range(tab.width))
+    if tab.value(phase1_cost) != 0:
+        raise LpInfeasibleError("artificial variables cannot be driven to zero")
+    tab.drive_out_artificials()
+
+    columns: Sequence[int] = range(tab.first_artificial)
+    solutions = []
+    for objective in costs:
+        cost = list(objective) + [ZERO] * (tab.width - n)
+        zrow = tab.run(cost, columns)
+        solutions.append(LpSolution(tab.point(), tab.value(cost)))
+        if lexicographic:
+            # At an optimum every eligible reduced cost is >= 0; the optimal
+            # face is where each column with a positive one is zero.
+            columns = [j for j in columns if not zrow[j]]
+    return solutions
+
+
 def simplex_solve(lp: LpProblem) -> LpSolution:
     """Solve ``lp`` exactly, returning an optimal vertex.
 
     Raises :class:`LpInfeasibleError` / :class:`LpUnboundedError` when the
     problem has no solution or no finite optimum.
     """
-    tab = _Tableau(lp)
-
-    phase1_cost = [ZERO] * tab.width
-    for j in range(tab.first_artificial, tab.width):
-        phase1_cost[j] = Fraction(-1)
-    if tab.run(phase1_cost, tab.width) != 0:
-        raise LpInfeasibleError("artificial variables cannot be driven to zero")
-    tab.drive_out_artificials()
-
-    phase2_cost = [ZERO] * tab.width
-    for j, c in enumerate(lp.objective):
-        phase2_cost[j] = c
-    value = tab.run(phase2_cost, tab.first_artificial)
-
-    x = [ZERO] * lp.n_vars
-    for i, b in enumerate(tab.basis):
-        if b < lp.n_vars:
-            x[b] = tab.rhs[i]
-    return LpSolution(tuple(x), value)
+    return simplex_sequence(lp.constraints, [lp.objective])[0]

@@ -1,7 +1,10 @@
 """CE polytope assembly, objective selection, vertices and slice bounds."""
 
+import functools
+import math
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -17,8 +20,13 @@ from ce_sampler import (
     expected_utility,
     solve_ce,
 )
-from ce_sampler.ce_solver import cell_order, payoff_vector, total_payoff_vector
-from ce_sampler.simplex import EQ, GE, LE, Constraint
+from ce_sampler.ce_solver import (
+    cell_order,
+    deviation_constraints,
+    payoff_vector,
+    total_payoff_vector,
+)
+from ce_sampler.simplex import EQ, GE, LE, Constraint, LpInfeasibleError
 from conftest import random_rational_game
 
 
@@ -33,6 +41,79 @@ def satisfies(constraint: Constraint, x: list[F]) -> bool:
 
 def as_vector(game: Game, dist: JointDistribution) -> list[F]:
     return [dist.prob(cell) for cell in cell_order(game)]
+
+
+def dot(coeffs, x) -> F:
+    return sum((c * v for c, v in zip(coeffs, x)), F(0))
+
+
+def _integer_row(coeffs, rhs) -> list[int]:
+    scale = math.lcm(*(v.denominator for v in coeffs), rhs.denominator)
+    return [int(v * scale) for v in coeffs] + [int(rhs * scale)]
+
+
+def _solve_integer(rows: list[list[int]]) -> tuple[list[int], int] | None:
+    """Fraction-free (Bareiss) elimination of a square integer system.
+
+    Returns integer numerators and a positive common denominator of the
+    solution, or None when the system is singular.
+    """
+    a = [row[:] for row in rows]
+    n, prev = len(a), 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
+        if pivot is None:
+            return None
+        a[k], a[pivot] = a[pivot], a[k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n + 1):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    det = prev  # the last Bareiss pivot is the determinant, up to sign
+    x = [0] * n
+    for i in reversed(range(n)):
+        rest = sum(a[i][j] * x[j] for j in range(i + 1, n))
+        x[i] = (a[i][n] * det - rest) // a[i][i]
+    return ([-v for v in x], -det) if det < 0 else (x, det)
+
+
+def cut_vertices(game: Game, extra=()) -> set[tuple[F, ...]]:
+    """Vertices of the CE polytope cut by the ``>=`` rows ``extra``, by brute force.
+
+    The method of ``ce_polytope_vertices`` in integer arithmetic: every
+    vertex makes n - 1 inequalities tight beside the sum-to-one row.
+    """
+    n = game.n_cells
+    axes = [Constraint(tuple(F(i == j) for j in range(n)), GE, F(0)) for i in range(n)]
+    rows = deviation_constraints(game) + axes + list(extra)
+    integer_rows = [_integer_row(c.coeffs, c.rhs) for c in rows]
+    ones = [1] * (n + 1)
+    points = set()
+    for chosen in combinations(integer_rows, n - 1):
+        solved = _solve_integer([ones, *chosen])
+        if solved is None:
+            continue
+        x, den = solved
+        if all(sum(c * v for c, v in zip(r, x)) >= r[n] * den for r in integer_rows):
+            points.add(tuple(F(v, den) for v in x))
+    return points
+
+
+@functools.cache
+def oracle_games() -> tuple[Game, ...]:
+    rng = random.Random(8191)
+    games = [random_rational_game(rng, r, c) for r, c in ((2, 2), (2, 2), (2, 3), (3, 2))]
+    bos = Game.from_payoffs([[4, 0], [0, 2]], [[2, 0], [0, 4]])
+    coinflip = Game.from_payoffs([[1, 0], [0, 0]], [[0, 0], [0, 1]])
+    constant = Game.from_payoffs([[5, 5, 5], [5, 5, 5]], [[5, 5, 5], [5, 5, 5]])
+    return (*games, bos, coinflip, constant)
+
+
+@functools.cache
+def library_vertices(index: int) -> list[list[F]]:
+    game = oracle_games()[index]
+    return [as_vector(game, v) for v in ce_polytope_vertices(game)]
 
 
 class TestBuildLp:
@@ -187,3 +268,64 @@ class TestSliceBounds:
         for i, cell in enumerate(cell_order(coinflip)):
             values = [v.prob(cell) for v in vertices]
             assert bounds[i] == (min(values), max(values))
+
+
+class TestAgainstVertexOracle:
+    """The one-tableau lexicographic sequence against vertex enumeration.
+
+    A lexicographic maximum over a polytope is attained at a vertex, and
+    the optimal face of a linear objective is spanned by the vertices
+    that attain it, so every selection rule can be replayed on the
+    enumerated vertices.
+    """
+
+    @pytest.fixture(params=range(len(oracle_games())))
+    def case(self, request) -> tuple[Game, list[list[F]]]:
+        return oracle_games()[request.param], library_vertices(request.param)
+
+    def test_enumerator_matches_library_oracle(self, case):
+        game, vertices = case
+        assert cut_vertices(game) == {tuple(x) for x in vertices}
+
+    def test_feasible_is_lex_max_vertex(self, case):
+        game, vertices = case
+        assert as_vector(game, solve_ce(game, CeObjective.FEASIBLE)) == max(vertices)
+
+    def test_max_total_lex_is_lex_max_total_optimal_vertex(self, case):
+        game, vertices = case
+        total = total_payoff_vector(game)
+        best = max(dot(total, x) for x in vertices)
+        expected = max(x for x in vertices if dot(total, x) == best)
+        assert as_vector(game, solve_ce(game, CeObjective.MAX_TOTAL_LEX)) == expected
+
+    def test_max_fair_is_lex_max_fair_then_total_optimal_vertex(self, case):
+        game, _ = case
+        u1, u2 = payoff_vector(game, 1), payoff_vector(game, 2)
+        total = total_payoff_vector(game)
+        # min(u1, u2) is linear on each half of the polytope split by u1 = u2,
+        # so its maximum is attained at a vertex of one of the halves.
+        gap = tuple(a - b for a, b in zip(u1, u2))
+        halves = cut_vertices(game, [Constraint(gap, GE, F(0))]) | cut_vertices(
+            game, [Constraint(tuple(-v for v in gap), GE, F(0))]
+        )
+        floor = max(min(dot(u1, x), dot(u2, x)) for x in halves)
+        fair = cut_vertices(game, [Constraint(u1, GE, floor), Constraint(u2, GE, floor)])
+        best = max(dot(total, x) for x in fair)
+        expected = max(x for x in fair if dot(total, x) == best)
+        dist = solve_ce(game, CeObjective.MAX_FAIR)
+        assert tuple(as_vector(game, dist)) == expected
+        assert min(expected_utility(game, dist, 1), expected_utility(game, dist, 2)) == floor
+
+    def test_slice_bounds_are_vertex_extremes(self, case):
+        game, vertices = case
+        bounds = ce_slice_bounds(game)
+        for i in range(game.n_cells):
+            values = [x[i] for x in vertices]
+            assert bounds[i] == (min(values), max(values))
+
+
+def test_empty_slice_raises(coinflip):
+    # The total payoff of coinflip never exceeds 1.
+    above = Constraint(total_payoff_vector(coinflip), GE, F(3, 2))
+    with pytest.raises(LpInfeasibleError):
+        ce_slice_bounds(coinflip, [above])

@@ -1,11 +1,13 @@
 """Exact simplex: worked cases, error signals, and a vertex-enumeration oracle."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from ce_sampler import CeObjective, Game, build_ce_lp
 from ce_sampler.simplex import (
     EQ,
     GE,
@@ -14,8 +16,12 @@ from ce_sampler.simplex import (
     LpInfeasibleError,
     LpProblem,
     LpUnboundedError,
+    simplex_sequence,
     simplex_solve,
 )
+
+# SHA-256 of the vertices simplex_solve returns on 30 seeded CE LPs.
+CE_VERTEX_PATH = "3dff81639a6e3d53b288aa1698f9e0e8ebc8cf4256fa11ccfcb33f2aee752cd0"
 
 
 def lp(objective, rows):
@@ -145,6 +151,31 @@ class TestAgainstOracle:
                 continue
             assert value == brute_force_max(problem)
 
+    def test_sequences_match_appended_rows(self):
+        """A lexicographic step equals a cold solve with each earlier optimum as an EQ row."""
+        rng = random.Random(2027)
+        checked = 0
+        for _ in range(30):
+            n = rng.randint(2, 3)
+            rows = [(tuple(F(1) for _ in range(n)), LE, F(rng.randint(2, 6)))]
+            for _ in range(rng.randint(1, 4)):
+                coeffs = tuple(F(rng.randint(-3, 3)) for _ in range(n))
+                rows.append((coeffs, rng.choice([LE, GE, EQ]), F(rng.randint(0, 4))))
+            objectives = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(3)]
+            constraints = lp(objectives[0], rows).constraints
+            try:
+                nested = simplex_sequence(constraints, objectives)
+            except LpInfeasibleError:
+                continue
+            free = simplex_sequence(constraints, objectives, lexicographic=False)
+            fixed = list(rows)
+            for objective, step, alone in zip(objectives, nested, free):
+                assert step.objective_value == brute_force_max(lp(objective, fixed))
+                assert alone.objective_value == brute_force_max(lp(objective, rows))
+                fixed.append((tuple(objective), EQ, step.objective_value))
+            checked += 1
+        assert checked >= 10
+
     def test_solution_is_feasible_vertex(self):
         rng = random.Random(77)
         for _ in range(20):
@@ -172,6 +203,31 @@ class TestDeterminism:
         first = simplex_solve(problem)
         second = simplex_solve(problem)
         assert first == second
+
+
+class TestPivotPath:
+    def test_ce_vertices_are_pinned(self):
+        """Degenerate CE LPs have many optimal vertices; which one is returned
+        follows the pivot path.
+
+        Small integer payoffs and objectives in {-1, 0, 1} keep the optimal
+        faces large, so a change of the entering rule moves the digest.  The
+        acceptance battery takes its CE points from such solves; this fast pin
+        guards Bland's pivot sequence alongside
+        ``test_acceptance.py::test_battery_is_pinned``.
+        """
+        rng = random.Random(4001)
+        digest = hashlib.sha256()
+        for _ in range(30):
+            rows, cols = rng.randint(2, 3), rng.randint(2, 3)
+            u1, u2 = (
+                [[rng.randint(0, 2) for _ in range(cols)] for _ in range(rows)] for _ in range(2)
+            )
+            polytope = build_ce_lp(Game.from_payoffs(u1, u2), CeObjective.FEASIBLE)
+            objective = tuple(F(rng.randint(-1, 1)) for _ in range(rows * cols))
+            solution = simplex_solve(LpProblem(objective, polytope.constraints))
+            digest.update(repr([str(v) for v in solution.values]).encode())
+        assert digest.hexdigest() == CE_VERTEX_PATH
 
 
 class TestValidation:
