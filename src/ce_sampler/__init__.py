@@ -71,7 +71,6 @@ from .extended_game import (
 from .analysis import (
     AdversaryOutcome,
     AnalysisReport,
-    analyze,
     deviation_gain_bound_holds,
     honest_output_distribution,
     honest_policy,
@@ -111,7 +110,6 @@ __all__ = [
     "Transcript",
     "WcfOutcome",
     "WcfSpec",
-    "analyze",
     "as_fraction",
     "augmented_normal_form",
     "build_ce_lp",

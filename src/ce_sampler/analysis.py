@@ -47,11 +47,19 @@ analysis is parameterized by four power levels:
 
 The payoff-optimal policy within each class is bang-bang over the
 reachable endpoints, so backward induction with exact rationals computes
-worst cases outright.  The verifier functions compare results against
-the contract bounds with zero tolerance and report failed verdicts
-rather than raising: for the classes beyond bias-only such failures are
-real, reproducible behaviors of the protocol, not implementation bugs,
-and the test suite pins concrete instances of them.
+worst cases outright.  The tree is held as level arrays in heap order:
+entry j of level m is the node ``index_to_bits(j, m)``, its children are
+entries 2j and 2j + 1 of level m + 1, and level k is the emulation table.
+Preferences come a level at a time from the oracle's cumulative sums.
+Two passes do all the work: a top-down pass carries mass to the leaves
+under one steering weight per node (honest play, or any policy), and a
+bottom-up pass runs the backward induction.
+
+The verifier functions compare results against the contract bounds with
+zero tolerance and report failed verdicts rather than raising: for the
+classes beyond bias-only such failures are real, reproducible behaviors
+of the protocol, not implementation bugs, and the test suite pins
+concrete instances of them.
 """
 
 from __future__ import annotations
@@ -64,10 +72,12 @@ from .emulation import (
     BitPrefix,
     MultisetEmulation,
     PreferenceOracle,
+    bits_to_index,
+    index_to_bits,
     l1_distance,
     marginal,
 )
-from .games import ZERO, Game, JointDistribution, expected_utility, normalize
+from .games import ZERO, Game, expected_utility, normalize
 from .protocol import ProtocolConfig
 
 HALF = Fraction(1, 2)
@@ -90,8 +100,47 @@ def _leaf_values(
     return values
 
 
-def _leaf_index(bits: BitPrefix, k: int) -> int:
-    return sum(b << (k - 1 - i) for i, b in enumerate(bits))
+def _preferred_levels(oracle: PreferenceOracle, player: int) -> list[list[int]]:
+    return [oracle.preferred_bits(player, m) for m in range(oracle.k)]
+
+
+def _honest_weights(bits1: list[list[int]], bits2: list[list[int]]) -> list[list[Fraction]]:
+    """Honest play in steering coordinates: w = 0 at agreements, 1/2 at coins."""
+    return [
+        [ZERO if b1 == b2 else HALF for b1, b2 in zip(level1, level2)]
+        for level1, level2 in zip(bits1, bits2)
+    ]
+
+
+def _leaf_masses(
+    honest_bits: list[list[int]], weights: list[list[Fraction]]
+) -> list[Fraction]:
+    """Top-down pass: the 2^k leaf masses, in table order.
+
+    Node j of level m keeps the share ``1 - weights[m][j]`` of its mass on
+    the honest party's preferred bit ``honest_bits[m][j]`` and sends the
+    rest to the other child.
+    """
+    masses = [Fraction(1)]
+    for bits, level in zip(honest_bits, weights):
+        children = [ZERO] * (2 * len(masses))
+        for j, mass in enumerate(masses):
+            if mass:
+                w, b_h = level[j], bits[j]
+                children[2 * j + b_h] = mass * (1 - w)
+                children[2 * j + 1 - b_h] = mass * w
+        masses = children
+    return masses
+
+
+def _positive_leaves(masses: list[Fraction], k: int) -> LeafDistribution:
+    return {index_to_bits(i, k): mass for i, mass in enumerate(masses) if mass}
+
+
+def _policy(weights: list[list[Fraction]]) -> AdversaryPolicy:
+    return {
+        index_to_bits(j, m): w for m, level in enumerate(weights) for j, w in enumerate(level)
+    }
 
 
 def honest_output_distribution(em: MultisetEmulation, game: Game) -> LeafDistribution:
@@ -101,43 +150,18 @@ def honest_output_distribution(em: MultisetEmulation, game: Game) -> LeafDistrib
     deterministic bit; the rest split half and half.
     """
     oracle = PreferenceOracle(em, game)
-    dist: LeafDistribution = {}
-
-    def walk(prefix: BitPrefix, mass: Fraction) -> None:
-        if len(prefix) == em.k:
-            dist[prefix] = dist.get(prefix, ZERO) + mass
-            return
-        sign1 = oracle.preference(1, prefix)
-        sign2 = oracle.preference(2, prefix)
-        if sign1 == sign2:
-            walk(prefix + (0 if sign1 == 1 else 1,), mass)
-        else:
-            walk(prefix + (0,), mass * HALF)
-            walk(prefix + (1,), mass * HALF)
-
-    walk((), Fraction(1))
-    return dist
+    bits1, bits2 = _preferred_levels(oracle, 1), _preferred_levels(oracle, 2)
+    return _positive_leaves(_leaf_masses(bits1, _honest_weights(bits1, bits2)), em.k)
 
 
-def honest_policy(em: MultisetEmulation, game: Game, dishonest: int) -> AdversaryPolicy:
+def honest_policy(em: MultisetEmulation, game: Game) -> AdversaryPolicy:
     """Honest behavior in steering coordinates: w = 0 at agreements, 1/2 at coins.
 
     Feeding this policy to :func:`policy_outcome` reproduces the honest
     distribution exactly.
     """
     oracle = PreferenceOracle(em, game)
-    policy: AdversaryPolicy = {}
-
-    def walk(prefix: BitPrefix) -> None:
-        if len(prefix) == em.k:
-            return
-        agree = oracle.preference(1, prefix) == oracle.preference(2, prefix)
-        policy[prefix] = ZERO if agree else HALF
-        walk(prefix + (0,))
-        walk(prefix + (1,))
-
-    walk(())
-    return policy
+    return _policy(_honest_weights(_preferred_levels(oracle, 1), _preferred_levels(oracle, 2)))
 
 
 @dataclass(frozen=True)
@@ -156,26 +180,6 @@ def _check_players(dishonest: int) -> int:
     if dishonest not in (1, 2):
         raise ValueError("dishonest player must be 1 or 2")
     return 2 if dishonest == 1 else 1
-
-
-def _induced_distribution(
-    em: MultisetEmulation, oracle: PreferenceOracle, honest: int, policy: Mapping[BitPrefix, Fraction]
-) -> LeafDistribution:
-    dist: LeafDistribution = {}
-
-    def walk(prefix: BitPrefix, mass: Fraction) -> None:
-        if not mass:
-            return
-        if len(prefix) == em.k:
-            dist[prefix] = dist.get(prefix, ZERO) + mass
-            return
-        w = policy[prefix]
-        b_h = oracle.preferred_bit(honest, prefix)
-        walk(prefix + (b_h,), mass * (1 - w))
-        walk(prefix + (1 - b_h,), mass * w)
-
-    walk((), Fraction(1))
-    return dist
 
 
 def _steering_candidates(
@@ -231,7 +235,7 @@ def worst_case_adversary(
     honest = _check_players(dishonest)
     if bias < 0 or bias >= HALF:
         raise ValueError("bias must satisfy 0 <= bias < 1/2")
-    oracle = PreferenceOracle(em, game)
+    candidates = {agrees: _steering_candidates(power, bias, agrees) for agrees in (False, True)}
     if objective == "max-own":
         values = _leaf_values(em, game, dishonest, floor_zero=True)
         better: Callable[[Fraction, Fraction], bool] = lambda a, b: a > b
@@ -241,31 +245,32 @@ def worst_case_adversary(
     else:
         raise ValueError(f"unknown objective {objective!r}")
     checked_lie = power == "checked" and objective == "max-own"
-    policy: AdversaryPolicy = {}
+    oracle = PreferenceOracle(em, game)
+    honest_bits = _preferred_levels(oracle, honest)
+    weights: list[list[Fraction]] = [[] for _ in range(em.k)]
 
-    def best(prefix: BitPrefix) -> Fraction:
-        if len(prefix) == em.k:
-            return values[_leaf_index(prefix, em.k)]
-        v0 = best(prefix + (0,))
-        v1 = best(prefix + (1,))
-        b_h = oracle.preferred_bit(honest, prefix)
-        v_honest_side, v_other = (v0, v1) if b_h == 0 else (v1, v0)
-        agrees = oracle.preferred_bit(dishonest, prefix) == b_h
-        candidates = _steering_candidates(power, bias, agrees)
-        chosen = candidates[0]
-        chosen_value = (1 - chosen) * v_honest_side + chosen * v_other
-        for w in candidates[1:]:
-            value = (1 - w) * v_honest_side + w * v_other
-            if better(value, chosen_value):
-                chosen, chosen_value = w, value
-        policy[prefix] = chosen
-        if checked_lie and better(ZERO, chosen_value):
-            chosen_value = ZERO  # lie and be rejected
-        return chosen_value
+    # Bottom-up pass: ``values`` holds the optimal values of level m + 1.
+    for m in reversed(range(em.k)):
+        dishonest_bits = oracle.preferred_bits(dishonest, m)
+        level_values = []
+        for j, b_h in enumerate(honest_bits[m]):
+            v0, v1 = values[2 * j], values[2 * j + 1]
+            v_honest_side, v_other = (v0, v1) if b_h == 0 else (v1, v0)
+            options = candidates[dishonest_bits[j] == b_h]
+            chosen = options[0]
+            chosen_value = (1 - chosen) * v_honest_side + chosen * v_other
+            for w in options[1:]:
+                value = (1 - w) * v_honest_side + w * v_other
+                if better(value, chosen_value):
+                    chosen, chosen_value = w, value
+            weights[m].append(chosen)
+            if checked_lie and better(ZERO, chosen_value):
+                chosen_value = ZERO  # lie and be rejected
+            level_values.append(chosen_value)
+        values = level_values
 
-    value = best(())
-    dist = _induced_distribution(em, oracle, honest, policy)
-    return AdversaryOutcome(value, policy, dist, dishonest, bias, power)
+    dist = _positive_leaves(_leaf_masses(honest_bits, weights), em.k)
+    return AdversaryOutcome(values[0], _policy(weights), dist, dishonest, bias, power)
 
 
 def policy_outcome(
@@ -283,19 +288,24 @@ def policy_outcome(
     """
     honest = _check_players(dishonest)
     oracle = PreferenceOracle(em, game)
-    full: AdversaryPolicy = honest_policy(em, game, dishonest)
+    bits1, bits2 = _preferred_levels(oracle, 1), _preferred_levels(oracle, 2)
+    weights = _honest_weights(bits1, bits2)
     for prefix, w in policy.items():
         w = Fraction(w)
         if not 0 <= w <= 1:
             raise ValueError("steering probabilities must lie in [0, 1]")
-        full[tuple(prefix)] = w
-    dist = _induced_distribution(em, oracle, honest, full)
+        prefix = tuple(prefix)
+        if len(prefix) >= em.k or any(b not in (0, 1) for b in prefix):
+            raise ValueError(
+                f"policy prefix {prefix} is not an internal node of the {em.k}-round tree"
+            )
+        weights[len(prefix)][bits_to_index(prefix)] = w
+    masses = _leaf_masses(bits1 if honest == 1 else bits2, weights)
     player = dishonest if objective == "max-own" else honest
     values = _leaf_values(em, game, player, floor_zero=(objective == "max-own"))
-    value = sum(
-        (mass * values[_leaf_index(bits, em.k)] for bits, mass in dist.items()), ZERO
-    )
-    return AdversaryOutcome(value, full, dist, dishonest, ZERO, "scripted")
+    value = sum((mass * v for mass, v in zip(masses, values) if mass), ZERO)
+    dist = _positive_leaves(masses, em.k)
+    return AdversaryOutcome(value, _policy(weights), dist, dishonest, ZERO, "scripted")
 
 
 def leaf_expectation(
@@ -303,7 +313,7 @@ def leaf_expectation(
 ) -> Fraction:
     """E[u_player] when the output profile is read off the table at ``dist``."""
     return sum(
-        (mass * game.utility(player, em.table[_leaf_index(bits, em.k)])
+        (mass * game.utility(player, em.table[bits_to_index(bits)])
          for bits, mass in dist.items()),
         ZERO,
     )
@@ -484,27 +494,3 @@ def truthful_announcements_optimal(
         if free.value != truthful.value:
             return False
     return True
-
-
-def analyze(
-    game: Game,
-    p: JointDistribution,
-    epsilon: Fraction,
-    delta: Fraction,
-    dishonest: int,
-    power: AdversaryPower = "bias-only",
-) -> tuple[AnalysisReport, dict[str, bool]]:
-    """One-stop analysis used by the command line: emulate, bound, verify."""
-    from .emulation import emulate
-
-    config = ProtocolConfig.plan(game, epsilon, delta)
-    em = emulate(game, p, config.delta)
-    report = verify_distance_bounds(em, game, config.epsilon, dishonest, power=power)
-    payoff_verdicts = verify_payoff_guarantees(em, game, config, power=power)
-    payoff_verdicts["deviation_gain_bounded"] = deviation_gain_bound_holds(
-        em, game, config, dishonest, power=power
-    )
-    payoff_verdicts["truthful_announcements_optimal"] = truthful_announcements_optimal(
-        em, game, config.epsilon
-    )
-    return report, payoff_verdicts

@@ -424,7 +424,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed standard output early (``| head``): end quietly,
+        # with stdout pointed at devnull so that the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except GameFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -167,12 +167,34 @@ class PreferenceOracle:
         if sign is None:
             zero = self.block_sum(player, key[1] + (0,))
             one = self.block_sum(player, key[1] + (1,))
-            sign = 1 if zero >= one else -1
+            sign = 1 if _prefers_zero(zero, one) else -1
             self._sign_memo[key] = sign
         return sign
 
+    def preferred_bits(self, player: int, m: int) -> list[int]:
+        """Preferred next bit at every node of level ``m``, in heap order.
+
+        Entry j is ``preferred_bit(player, index_to_bits(j, m))``, read
+        straight off the cumulative sums without building prefixes.
+        """
+        if not 0 <= m < self.k:
+            raise ValueError(f"level {m} is not internal to the {self.k}-round tree")
+        cums = self._cums[player]
+        half = 1 << (self.k - m - 1)
+        bits = []
+        for lo in range(0, 1 << self.k, 2 * half):
+            mid = lo + half
+            zero, one = cums[mid] - cums[lo], cums[mid + half] - cums[mid]
+            bits.append(0 if _prefers_zero(zero, one) else 1)
+        return bits
+
     def preferred_bit(self, player: int, prefix: BitPrefix) -> int:
         return 0 if self.preference(player, prefix) == 1 else 1
+
+
+def _prefers_zero(zero_sum: Fraction, one_sum: Fraction) -> bool:
+    """The preference rule on two equal-width block sums: ties prefer 0."""
+    return zero_sum >= one_sum
 
 
 def conditional_expected_utility(

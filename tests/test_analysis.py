@@ -1,6 +1,9 @@
 """Exact adversary analysis: honest runs, worst cases, bounds, counterexamples."""
 
+import hashlib
+import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -17,7 +20,9 @@ from ce_sampler import (
     normalize,
     simulate_outputs,
 )
+from ce_sampler.acceptance import battery
 from ce_sampler.analysis import (
+    POWERS,
     honest_output_distribution,
     honest_policy,
     leaf_expectation,
@@ -139,7 +144,7 @@ class TestWorstCaseAdversary:
             p = random_distribution(rng, list(game.cells()))
             em = emulate(game, p, F(1, 2))
             bias = F(1, 40)
-            honest = honest_policy(em, game, 1)
+            honest = honest_policy(em, game)
             best_bias_only = worst_case_adversary(em, game, bias, 1, power="bias-only")
             best_anything = worst_case_adversary(em, game, bias, 1, power="unrestricted")
             for _ in range(10):
@@ -156,7 +161,7 @@ class TestWorstCaseAdversary:
 
     def test_honest_policy_reproduces_honest_run(self, bos, bos_fair_ce):
         em = emulate(bos, bos_fair_ce, F(1, 2))
-        outcome = policy_outcome(em, bos, honest_policy(em, bos, 1), 1)
+        outcome = policy_outcome(em, bos, honest_policy(em, bos), 1)
         p_h = honest_output_distribution(em, bos)
         assert outcome.leaf_distribution == p_h
         assert outcome.value == leaf_expectation(em, bos, p_h, 1)
@@ -177,6 +182,23 @@ class TestWorstCaseAdversary:
         with pytest.raises(ValueError):
             worst_case_adversary(em, bos, F(1, 10), 1, power="omniscient")
 
+    def test_unknown_power_rejected_without_a_tree(self):
+        # k = 0: the root is the only leaf, so no node ever lists candidates.
+        game = Game.from_payoffs([[1]], [[1]])
+        em = emulate(game, JointDistribution.point_mass(JointStrategy(0, 0)), F(1))
+        assert em.k == 0
+        assert worst_case_adversary(em, game, F(0), 1).leaf_distribution == {(): F(1)}
+        with pytest.raises(ValueError, match="omniscient"):
+            worst_case_adversary(em, game, F(0), 1, power="omniscient")
+
+    def test_policy_prefixes_must_be_internal_nodes(self, bos, bos_fair_ce):
+        em = emulate(bos, bos_fair_ce, F(1, 2))
+        for bad in [(0, 0, 0), (7,), (0, 1, 1, 0), (0, 2)]:
+            with pytest.raises(ValueError, match=re.escape(str(bad))):
+                policy_outcome(em, bos, {bad: 1}, 1)
+        with pytest.raises(ValueError, match=re.escape("(0, 0, 0)")):
+            policy_outcome(em, bos, {(0, 0, 0): 1, (7,): 1}, 1)
+
 
 class TestDistanceBounds:
     def test_bos_l1_profile(self, bos, bos_fair_ce):
@@ -191,7 +213,7 @@ class TestDistanceBounds:
     def test_supplied_policy_is_analyzed(self, bos, bos_fair_ce):
         em = emulate(bos, bos_fair_ce, F(1, 2))
         report = verify_distance_bounds(
-            em, bos, F(1, 10), 1, policy=honest_policy(em, bos, 1)
+            em, bos, F(1, 10), 1, policy=honest_policy(em, bos)
         )
         assert report.l1_per_round == (F(0),) * 4
         assert report.all_hold
@@ -354,3 +376,91 @@ class TestCheckedAnnouncements:
                     )
                     assert checked.value == truthful.value
                     assert checked.policy == truthful.policy
+
+
+def brute_force_candidates(power, bias, agrees):
+    """The steering weights a class reaches at one node (module docstring)."""
+    if power == "bias-only":
+        return [F(0)] if agrees else [HALF - bias, HALF, HALF + bias]
+    if power == "truthful":
+        return [F(0)] if agrees else [F(0), HALF, HALF + bias]
+    return [F(0), HALF + bias] if agrees else [F(0), HALF, HALF + bias]  # unrestricted
+
+
+class TestBruteForcePolicies:
+    """Every policy of the class, enumerated and valued without the engine."""
+
+    @staticmethod
+    def instances(bos, bos_fair_ce):
+        yield bos, emulate(bos, bos_fair_ce, F(1, 2))
+        rng = random.Random(43)
+        for _ in range(3):
+            game = random_rational_game(rng, 2, 2)
+            yield game, emulate(game, random_distribution(rng, list(game.cells())), F(1, 2))
+
+    def test_optimum_equals_best_enumerated_policy(self, bos, bos_fair_ce):
+        bias = F(1, 60)
+        for game, em in self.instances(bos, bos_fair_ce):
+            assert em.k <= 3
+            nodes = [prefix for m in range(em.k) for prefix in itertools.product((0, 1), repeat=m)]
+            preferred = {
+                (player, prefix): 0 if conditional_expected_utility(em, game, prefix, 0, player)
+                >= conditional_expected_utility(em, game, prefix, 1, player) else 1
+                for player in (1, 2) for prefix in nodes
+            }
+            for power, objective, dishonest in itertools.product(
+                ("bias-only", "truthful", "unrestricted"), ("max-own", "min-opponent"), (1, 2)
+            ):
+                honest = 3 - dishonest
+                player = dishonest if objective == "max-own" else honest
+
+                def value(policy, prefix=()):
+                    if len(prefix) == em.k:
+                        v = game.utility(player, em.entry(prefix))
+                        return max(v, F(0)) if objective == "max-own" else v
+                    b_h, w = preferred[honest, prefix], policy[prefix]
+                    return (1 - w) * value(policy, prefix + (b_h,)) + w * value(
+                        policy, prefix + (1 - b_h,)
+                    )
+
+                choices = [
+                    brute_force_candidates(
+                        power, bias, preferred[1, prefix] == preferred[2, prefix]
+                    )
+                    for prefix in nodes
+                ]
+                values = [value(dict(zip(nodes, ws))) for ws in itertools.product(*choices)]
+                best = max(values) if objective == "max-own" else min(values)
+                adv = worst_case_adversary(em, game, bias, dishonest, power, objective)
+                assert adv.value == best, (power, objective, dishonest)
+                assert set(adv.policy) == set(nodes)
+                assert all(adv.policy[prefix] in c for prefix, c in zip(nodes, choices))
+                assert value(adv.policy) == best
+
+
+# SHA-256 over every battery case of the honest distribution and of the value,
+# policy and leaf distribution of every worst case; pinned from the recursive
+# tree walks that the level-array engine replaced.
+ANALYSIS_FINGERPRINT = "f1d48c988dd184cc23a64e18b9109ad67e0b038d5f2c3f53bd30bc519a6e047e"
+
+
+def test_analysis_outputs_are_pinned():
+    def items(mapping):
+        return sorted((bits, str(v)) for bits, v in mapping.items())
+
+    digest = hashlib.sha256()
+    for case in battery():
+        norm = normalize(case.game)
+        record = [case.index, items(honest_output_distribution(case.em, case.game))]
+        for power, objective, cheater in itertools.product(
+            POWERS, ("max-own", "min-opponent"), (1, 2)
+        ):
+            adv = worst_case_adversary(
+                case.em, norm, case.config.per_round_bias, cheater, power=power, objective=objective
+            )
+            record.append(
+                (power, objective, cheater, str(adv.value), items(adv.policy),
+                 items(adv.leaf_distribution))
+            )
+        digest.update(repr(record).encode())
+    assert digest.hexdigest() == ANALYSIS_FINGERPRINT

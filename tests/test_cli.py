@@ -1,11 +1,17 @@
 """Command-line interface: reports, determinism, error paths."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from ce_sampler.cli import main
 
-DATA = Path(__file__).resolve().parent.parent / "src" / "ce_sampler" / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
+DATA = SRC / "ce_sampler" / "data"
 BOS = str(DATA / "bos.json")
 
 
@@ -173,3 +179,25 @@ class TestReproduce:
     def test_unknown_filter(self, capsys):
         assert run_cli("reproduce", "--only", "nonexistent") == 2
         assert "nonexistent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["reproduce", "--only", "bos"], ["analyze", "--game", BOS]], ids=["reproduce", "analyze"]
+)
+def test_closed_stdout_ends_quietly(argv):
+    # The read end is closed before the first write, as after ``| head -1``.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ce_sampler", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 1

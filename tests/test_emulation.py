@@ -9,6 +9,7 @@ from ce_sampler import (
     Game,
     JointDistribution,
     JointStrategy,
+    PreferenceOracle,
     conditional_expected_utility,
     emulate,
     expected_utility,
@@ -117,6 +118,34 @@ class TestConditionals:
         em = emulate(bos, bos_fair_ce, F(1, 2))
         with pytest.raises(ValueError):
             conditional_expected_utility(em, bos, (0, 1, 1), 0, 1)
+
+    def test_preferred_bits_per_level(self, bos, bos_fair_ce):
+        # Ties (equal branch averages) prefer 0, as in ``preference``.
+        cases = [(bos, emulate(bos, bos_fair_ce, F(1, 2)))]
+        rng = random.Random(41)
+        for _ in range(6):
+            game = random_rational_game(rng, rng.randint(2, 3), rng.randint(2, 3))
+            p = random_distribution(rng, list(game.cells()))
+            cases.append((game, emulate(game, p, F(1, 4))))
+        for game, em in cases:
+            oracle = PreferenceOracle(em, game)
+            for player in (1, 2):
+                for m in range(em.k):
+                    prefixes = [index_to_bits(j, m) for j in range(1 << m)]
+                    assert oracle.preferred_bits(player, m) == [
+                        0 if conditional_expected_utility(em, game, prefix, 0, player)
+                        >= conditional_expected_utility(em, game, prefix, 1, player) else 1
+                        for prefix in prefixes
+                    ]
+                    assert oracle.preferred_bits(player, m) == [
+                        oracle.preferred_bit(player, prefix) for prefix in prefixes
+                    ]
+
+    def test_preferred_bits_only_at_internal_levels(self, bos, bos_fair_ce):
+        oracle = PreferenceOracle(emulate(bos, bos_fair_ce, F(1, 2)), bos)
+        for m in (-1, 3):
+            with pytest.raises(ValueError):
+                oracle.preferred_bits(1, m)
 
 
 class TestBitHelpers:
