@@ -46,14 +46,25 @@ analysis is parameterized by four power levels:
     equals the ``truthful`` one.
 
 The payoff-optimal policy within each class is bang-bang over the
-reachable endpoints, so backward induction with exact rationals computes
-worst cases outright.  The tree is held as level arrays in heap order:
-entry j of level m is the node ``index_to_bits(j, m)``, its children are
-entries 2j and 2j + 1 of level m + 1, and level k is the emulation table.
+reachable endpoints, so exact backward induction computes worst cases
+outright.  The tree is held as level arrays in heap order: entry j of
+level m is the node ``index_to_bits(j, m)``, its children are entries 2j
+and 2j + 1 of level m + 1, and level k is the emulation table.
 Preferences come a level at a time from the oracle's cumulative sums.
 Two passes do all the work: a top-down pass carries mass to the leaves
 under one steering weight per node (honest play, or any policy), and a
 bottom-up pass runs the backward induction.
+
+Both passes run in ints over common denominators.  Leaf utilities are
+numerators over the oracle's per-player scale D.  The backward induction
+writes each candidate weight as a numerator over the candidates' common
+denominator L, so level m holds values over D * L**(k - m).  The top-down
+pass scales each level's weights by the lcm of their denominators, and a
+mass is its numerator over the product of those scales.  ``Fraction``s
+are built only for the returned values, weights and positive leaves, so
+every result is the same exact rational as one computed in Fractions
+throughout.  Each verifier asks all its questions of one tree, which
+builds one oracle and one set of per-level preferred bits.
 
 The verifier functions compare results against the contract bounds with
 zero tolerance and report failed verdicts rather than raising: for the
@@ -66,17 +77,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Literal, Mapping
+from functools import cached_property
+from math import lcm
+from typing import Literal, Mapping
 
-from .emulation import (
-    BitPrefix,
-    MultisetEmulation,
-    PreferenceOracle,
-    bits_to_index,
-    index_to_bits,
-    l1_distance,
-    marginal,
-)
+from .emulation import BitPrefix, MultisetEmulation, PreferenceOracle, bits_to_index
 from .games import ZERO, Game, expected_utility, normalize
 from .protocol import ProtocolConfig
 
@@ -87,24 +92,12 @@ Objective = Literal["max-own", "min-opponent"]
 
 LeafDistribution = dict[BitPrefix, Fraction]
 AdversaryPolicy = dict[BitPrefix, Fraction]  # prefix -> P[next bit != honest-preferred]
+Weights = list[list[Fraction]]  # level m, node j -> steering weight
 
 POWERS = ("bias-only", "truthful", "unrestricted", "checked")
 
 
-def _leaf_values(
-    em: MultisetEmulation, game: Game, player: int, floor_zero: bool
-) -> list[Fraction]:
-    values = [game.utility(player, cell) for cell in em.table]
-    if floor_zero:
-        values = [max(v, ZERO) for v in values]
-    return values
-
-
-def _preferred_levels(oracle: PreferenceOracle, player: int) -> list[list[int]]:
-    return [oracle.preferred_bits(player, m) for m in range(oracle.k)]
-
-
-def _honest_weights(bits1: list[list[int]], bits2: list[list[int]]) -> list[list[Fraction]]:
+def _honest_weights(bits1: list[list[int]], bits2: list[list[int]]) -> Weights:
     """Honest play in steering coordinates: w = 0 at agreements, 1/2 at coins."""
     return [
         [ZERO if b1 == b2 else HALF for b1, b2 in zip(level1, level2)]
@@ -112,56 +105,75 @@ def _honest_weights(bits1: list[list[int]], bits2: list[list[int]]) -> list[list
     ]
 
 
-def _leaf_masses(
-    honest_bits: list[list[int]], weights: list[list[Fraction]]
-) -> list[Fraction]:
-    """Top-down pass: the 2^k leaf masses, in table order.
+@dataclass(frozen=True)
+class _Leaves:
+    """The positive-mass leaves of a top-down pass, in table order.
+
+    Each entry is (prefix, table index, mass numerator); every mass is
+    its numerator over the one ``denominator``.
+    """
+
+    entries: list[tuple[BitPrefix, int, int]]
+    denominator: int
+
+    def distribution(self) -> LeafDistribution:
+        return {prefix: Fraction(mass, self.denominator) for prefix, _, mass in self.entries}
+
+
+def _leaf_masses(honest_bits: list[list[int]], weights: Weights) -> _Leaves:
+    """Top-down pass: the positive leaf masses, as ints over one denominator.
 
     Node j of level m keeps the share ``1 - weights[m][j]`` of its mass on
     the honest party's preferred bit ``honest_bits[m][j]`` and sends the
-    rest to the other child.
+    rest to the other child.  Each level's weights are scaled by the lcm
+    of their denominators, which multiplies into the common denominator.
+    Only nodes with positive mass are visited, and their prefixes grow a
+    bit at a time.
     """
-    masses = [Fraction(1)]
+    nodes, denominator = [((), 0, 1)], 1
     for bits, level in zip(honest_bits, weights):
-        children = [ZERO] * (2 * len(masses))
-        for j, mass in enumerate(masses):
-            if mass:
-                w, b_h = level[j], bits[j]
-                children[2 * j + b_h] = mass * (1 - w)
-                children[2 * j + 1 - b_h] = mass * w
-        masses = children
-    return masses
+        scale = lcm(*{level[j].denominator for _, j, _ in nodes})
+        children = []
+        for prefix, j, mass in nodes:
+            w = level[j]
+            moved = mass * w.numerator * (scale // w.denominator)
+            kept = mass * scale - moved
+            zero, one = (kept, moved) if bits[j] == 0 else (moved, kept)
+            if zero:
+                children.append((prefix + (0,), 2 * j, zero))
+            if one:
+                children.append((prefix + (1,), 2 * j + 1, one))
+        nodes, denominator = children, denominator * scale
+    return _Leaves(nodes, denominator)
 
 
-def _positive_leaves(masses: list[Fraction], k: int) -> LeafDistribution:
-    return {index_to_bits(i, k): mass for i, mass in enumerate(masses) if mass}
+def _policy(weights: Weights) -> AdversaryPolicy:
+    """Key every node's weight by its prefix, building prefixes a level at a time."""
+    policy: AdversaryPolicy = {}
+    prefixes: list[BitPrefix] = [()]
+    for m, level in enumerate(weights):
+        if m:
+            prefixes = [prefix + (b,) for prefix in prefixes for b in (0, 1)]
+        policy.update(zip(prefixes, level))
+    return policy
 
 
-def _policy(weights: list[list[Fraction]]) -> AdversaryPolicy:
-    return {
-        index_to_bits(j, m): w for m, level in enumerate(weights) for j, w in enumerate(level)
-    }
-
-
-def honest_output_distribution(em: MultisetEmulation, game: Game) -> LeafDistribution:
-    """Exact index distribution when both parties are honest.
-
-    Nodes where the truthful preferences coincide contribute a
-    deterministic bit; the rest split half and half.
-    """
-    oracle = PreferenceOracle(em, game)
-    bits1, bits2 = _preferred_levels(oracle, 1), _preferred_levels(oracle, 2)
-    return _positive_leaves(_leaf_masses(bits1, _honest_weights(bits1, bits2)), em.k)
-
-
-def honest_policy(em: MultisetEmulation, game: Game) -> AdversaryPolicy:
-    """Honest behavior in steering coordinates: w = 0 at agreements, 1/2 at coins.
-
-    Feeding this policy to :func:`policy_outcome` reproduces the honest
-    distribution exactly.
-    """
-    oracle = PreferenceOracle(em, game)
-    return _policy(_honest_weights(_preferred_levels(oracle, 1), _preferred_levels(oracle, 2)))
+def _l1_per_round(q: _Leaves, p: _Leaves, k: int) -> tuple[Fraction, ...]:
+    """Exact L1 distance between the m-bit marginals of q and p, m = 0..k."""
+    gaps: dict[int, int] = {}  # node index -> (q - p) mass, over both denominators
+    for _, i, mass in q.entries:
+        gaps[i] = gaps.get(i, 0) + mass * p.denominator
+    for _, i, mass in p.entries:
+        gaps[i] = gaps.get(i, 0) - mass * q.denominator
+    denominator = q.denominator * p.denominator
+    distances = []
+    for _ in range(k + 1):  # leaves first, then one level up at a time
+        distances.append(Fraction(sum(abs(gap) for gap in gaps.values()), denominator))
+        parents: dict[int, int] = {}
+        for i, gap in gaps.items():
+            parents[i >> 1] = parents.get(i >> 1, 0) + gap
+        gaps = parents
+    return tuple(reversed(distances))
 
 
 @dataclass(frozen=True)
@@ -208,6 +220,171 @@ def _steering_candidates(
     raise ValueError(f"unknown adversary power {power!r} (expected one of {POWERS})")
 
 
+def _strict_scan(candidates: list[Fraction], gain_sign: int) -> Fraction:
+    """The candidate that the strict-improvement scan over ``candidates`` keeps.
+
+    A weight w is worth ``v + w * gain`` at a node whose honest-side child
+    is worth v and whose other child is worth ``v + gain``, so comparing
+    two candidates compares ``w * gain_sign`` alone.
+    """
+    chosen = candidates[0]
+    for w in candidates[1:]:
+        if w * gain_sign > chosen * gain_sign:
+            chosen = w
+    return chosen
+
+
+class _Tree:
+    """The round tree of one emulation and game, shared by a verifier's questions.
+
+    One oracle and one set of preferred bits per level serve every pass.
+    They are built on first use, so arguments are checked before any tree
+    work.  Values stay ints over common denominators inside the passes
+    and become ``Fraction``s only on the way out.
+    """
+
+    def __init__(self, em: MultisetEmulation, game: Game):
+        self.em = em
+        self.game = game
+        self.k = em.k
+        self._values: dict[int, list[int]] = {}
+
+    @cached_property
+    def oracle(self) -> PreferenceOracle:
+        return PreferenceOracle(self.em, self.game)
+
+    @cached_property
+    def bits(self) -> dict[int, list[list[int]]]:
+        """Each player's preferred bits, level by level in heap order."""
+        return {
+            player: [self.oracle.preferred_bits(player, m) for m in range(self.k)]
+            for player in (1, 2)
+        }
+
+    @cached_property
+    def honest_weights(self) -> Weights:
+        return _honest_weights(self.bits[1], self.bits[2])
+
+    @cached_property
+    def honest_leaves(self) -> _Leaves:
+        return _leaf_masses(self.bits[1], self.honest_weights)
+
+    def leaf_values(self, player: int, floor_zero: bool = False) -> list[int]:
+        """``player``'s utility at every leaf, over ``oracle.scale(player)``."""
+        values = self._values.get(player)
+        if values is None:
+            values = self._values[player] = self.oracle.leaf_numerators(player)
+        return [v if v > 0 else 0 for v in values] if floor_zero else values
+
+    def expectation(self, leaves: _Leaves, player: int, floor_zero: bool = False) -> Fraction:
+        values = self.leaf_values(player, floor_zero)
+        total = sum(mass * values[i] for _, i, mass in leaves.entries)
+        return Fraction(total, leaves.denominator * self.oracle.scale(player))
+
+    def leaves(self, weights: Weights, dishonest: int) -> _Leaves:
+        return _leaf_masses(self.bits[_check_players(dishonest)], weights)
+
+    def backward_induction(
+        self, bias: Fraction, dishonest: int, power: str, objective: str
+    ) -> tuple[Fraction, Weights]:
+        """The optimal value over the class and the steering weights attaining it.
+
+        Values are ints: leaves are utilities over the utility scale D, and
+        candidate weights are numerators over their common denominator L,
+        so level m holds values over ``D * L**(k - m)``.  A min-opponent
+        pass negates the leaves and maximizes.
+        """
+        honest = _check_players(dishonest)
+        if bias < 0 or bias >= HALF:
+            raise ValueError("bias must satisfy 0 <= bias < 1/2")
+        candidates = {agrees: _steering_candidates(power, bias, agrees) for agrees in (False, True)}
+        if objective == "max-own":
+            player, sign = dishonest, 1
+            values = self.leaf_values(dishonest, floor_zero=True)
+        elif objective == "min-opponent":
+            player, sign = honest, -1
+            values = [-v for v in self.leaf_values(honest)]
+        else:
+            raise ValueError(f"unknown objective {objective!r}")
+        checked_lie = power == "checked" and objective == "max-own"
+        scale = lcm(*(w.denominator for options in candidates.values() for w in options))
+        picks = {}  # (truthfully agrees, sign of the gain) -> (weight, its numerator over L)
+        for agrees, options in candidates.items():
+            for gain_sign in (-1, 0, 1):
+                w = _strict_scan(options, gain_sign)
+                picks[agrees, gain_sign] = (w, w.numerator * (scale // w.denominator))
+        honest_bits, dishonest_bits = self.bits[honest], self.bits[dishonest]
+        weights: Weights = [[] for _ in range(self.k)]
+
+        # Bottom-up pass: ``values`` holds the optimal values of level m + 1.
+        for m in reversed(range(self.k)):
+            level_values, level_weights = [], weights[m]
+            for j, (b_h, b_d) in enumerate(zip(honest_bits[m], dishonest_bits[m])):
+                v_honest_side = values[2 * j + b_h]
+                gain = values[2 * j + 1 - b_h] - v_honest_side
+                w, numerator = picks[b_d == b_h, (gain > 0) - (gain < 0)]
+                value = scale * v_honest_side + numerator * gain
+                if checked_lie and value < 0:
+                    value = 0  # lie and be rejected
+                level_values.append(value)
+                level_weights.append(w)
+            values = level_values
+
+        value = Fraction(sign * values[0], self.oracle.scale(player) * scale**self.k)
+        return value, weights
+
+    def worst_case(
+        self, bias: Fraction, dishonest: int, power: str, objective: str
+    ) -> tuple[AdversaryOutcome, _Leaves]:
+        value, weights = self.backward_induction(bias, dishonest, power, objective)
+        leaves = self.leaves(weights, dishonest)
+        outcome = AdversaryOutcome(
+            value, _policy(weights), leaves.distribution(), dishonest, bias, power
+        )
+        return outcome, leaves
+
+    def scripted(
+        self, policy: Mapping[BitPrefix, Fraction], dishonest: int, objective: str
+    ) -> tuple[AdversaryOutcome, _Leaves]:
+        honest = _check_players(dishonest)
+        weights = [list(level) for level in self.honest_weights]
+        for prefix, w in policy.items():
+            w = Fraction(w)
+            if not 0 <= w <= 1:
+                raise ValueError("steering probabilities must lie in [0, 1]")
+            prefix = tuple(prefix)
+            if len(prefix) >= self.k or any(b not in (0, 1) for b in prefix):
+                raise ValueError(
+                    f"policy prefix {prefix} is not an internal node of the {self.k}-round tree"
+                )
+            weights[len(prefix)][bits_to_index(prefix)] = w
+        leaves = self.leaves(weights, dishonest)
+        max_own = objective == "max-own"
+        value = self.expectation(leaves, dishonest if max_own else honest, floor_zero=max_own)
+        outcome = AdversaryOutcome(
+            value, _policy(weights), leaves.distribution(), dishonest, ZERO, "scripted"
+        )
+        return outcome, leaves
+
+
+def honest_output_distribution(em: MultisetEmulation, game: Game) -> LeafDistribution:
+    """Exact index distribution when both parties are honest.
+
+    Nodes where the truthful preferences coincide contribute a
+    deterministic bit; the rest split half and half.
+    """
+    return _Tree(em, game).honest_leaves.distribution()
+
+
+def honest_policy(em: MultisetEmulation, game: Game) -> AdversaryPolicy:
+    """Honest behavior in steering coordinates: w = 0 at agreements, 1/2 at coins.
+
+    Feeding this policy to :func:`policy_outcome` reproduces the honest
+    distribution exactly.
+    """
+    return _policy(_Tree(em, game).honest_weights)
+
+
 def worst_case_adversary(
     em: MultisetEmulation,
     game: Game,
@@ -232,45 +409,8 @@ def worst_case_adversary(
     deviation at a leaf, recorded in the value rather than the policy.
     The leaf values are floored at zero, so it is never taken.
     """
-    honest = _check_players(dishonest)
-    if bias < 0 or bias >= HALF:
-        raise ValueError("bias must satisfy 0 <= bias < 1/2")
-    candidates = {agrees: _steering_candidates(power, bias, agrees) for agrees in (False, True)}
-    if objective == "max-own":
-        values = _leaf_values(em, game, dishonest, floor_zero=True)
-        better: Callable[[Fraction, Fraction], bool] = lambda a, b: a > b
-    elif objective == "min-opponent":
-        values = _leaf_values(em, game, honest, floor_zero=False)
-        better = lambda a, b: a < b
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
-    checked_lie = power == "checked" and objective == "max-own"
-    oracle = PreferenceOracle(em, game)
-    honest_bits = _preferred_levels(oracle, honest)
-    weights: list[list[Fraction]] = [[] for _ in range(em.k)]
-
-    # Bottom-up pass: ``values`` holds the optimal values of level m + 1.
-    for m in reversed(range(em.k)):
-        dishonest_bits = oracle.preferred_bits(dishonest, m)
-        level_values = []
-        for j, b_h in enumerate(honest_bits[m]):
-            v0, v1 = values[2 * j], values[2 * j + 1]
-            v_honest_side, v_other = (v0, v1) if b_h == 0 else (v1, v0)
-            options = candidates[dishonest_bits[j] == b_h]
-            chosen = options[0]
-            chosen_value = (1 - chosen) * v_honest_side + chosen * v_other
-            for w in options[1:]:
-                value = (1 - w) * v_honest_side + w * v_other
-                if better(value, chosen_value):
-                    chosen, chosen_value = w, value
-            weights[m].append(chosen)
-            if checked_lie and better(ZERO, chosen_value):
-                chosen_value = ZERO  # lie and be rejected
-            level_values.append(chosen_value)
-        values = level_values
-
-    dist = _positive_leaves(_leaf_masses(honest_bits, weights), em.k)
-    return AdversaryOutcome(values[0], _policy(weights), dist, dishonest, bias, power)
+    outcome, _ = _Tree(em, game).worst_case(bias, dishonest, power, objective)
+    return outcome
 
 
 def policy_outcome(
@@ -286,26 +426,8 @@ def policy_outcome(
     optimum returned by :func:`worst_case_adversary` for a class
     dominates every policy inside that class evaluated here.
     """
-    honest = _check_players(dishonest)
-    oracle = PreferenceOracle(em, game)
-    bits1, bits2 = _preferred_levels(oracle, 1), _preferred_levels(oracle, 2)
-    weights = _honest_weights(bits1, bits2)
-    for prefix, w in policy.items():
-        w = Fraction(w)
-        if not 0 <= w <= 1:
-            raise ValueError("steering probabilities must lie in [0, 1]")
-        prefix = tuple(prefix)
-        if len(prefix) >= em.k or any(b not in (0, 1) for b in prefix):
-            raise ValueError(
-                f"policy prefix {prefix} is not an internal node of the {em.k}-round tree"
-            )
-        weights[len(prefix)][bits_to_index(prefix)] = w
-    masses = _leaf_masses(bits1 if honest == 1 else bits2, weights)
-    player = dishonest if objective == "max-own" else honest
-    values = _leaf_values(em, game, player, floor_zero=(objective == "max-own"))
-    value = sum((mass * v for mass, v in zip(masses, values) if mass), ZERO)
-    dist = _positive_leaves(masses, em.k)
-    return AdversaryOutcome(value, _policy(weights), dist, dishonest, ZERO, "scripted")
+    outcome, _ = _Tree(em, game).scripted(policy, dishonest, objective)
+    return outcome
 
 
 def leaf_expectation(
@@ -361,17 +483,14 @@ def verify_distance_bounds(
     epsilon = Fraction(epsilon)
     k = em.k
     bias = epsilon / (2 * k) if k else ZERO
-    norm = normalize(game)
-    p_h = honest_output_distribution(em, norm)
+    tree = _Tree(em, normalize(game))
     if policy is None:
-        adv = worst_case_adversary(em, norm, bias, dishonest, power=power)
+        adv, q = tree.worst_case(bias, dishonest, power, "max-own")
     else:
-        adv = policy_outcome(em, norm, policy, dishonest)
-    q = adv.leaf_distribution
+        adv, q = tree.scripted(policy, dishonest, "max-own")
+    p_h = tree.honest_leaves
 
-    l1_per_round = tuple(
-        l1_distance(marginal(q, m), marginal(p_h, m)) for m in range(k + 1)
-    )
+    l1_per_round = _l1_per_round(q, p_h, k)
     round_bounds_hold = all(
         l1_per_round[m] <= (m * epsilon / k if k else ZERO) for m in range(k + 1)
     )
@@ -379,10 +498,10 @@ def verify_distance_bounds(
         l1_per_round[m + 1] - l1_per_round[m] <= 2 * bias for m in range(k)
     )
     utilities = {
-        "honest_run_p1": leaf_expectation(em, norm, p_h, 1),
-        "honest_run_p2": leaf_expectation(em, norm, p_h, 2),
-        "adversarial_p1": leaf_expectation(em, norm, q, 1),
-        "adversarial_p2": leaf_expectation(em, norm, q, 2),
+        "honest_run_p1": tree.expectation(p_h, 1),
+        "honest_run_p2": tree.expectation(p_h, 2),
+        "adversarial_p1": tree.expectation(q, 1),
+        "adversarial_p2": tree.expectation(q, 2),
     }
     verdicts = {
         "l1_round_bounds": round_bounds_hold,
@@ -395,8 +514,8 @@ def verify_distance_bounds(
         bias=bias,
         dishonest=dishonest,
         power=adv.power,
-        honest_distribution=p_h,
-        adversarial_distribution=q,
+        honest_distribution=p_h.distribution(),
+        adversarial_distribution=adv.leaf_distribution,
         l1_per_round=l1_per_round,
         utilities=utilities,
         verdicts=verdicts,
@@ -422,9 +541,9 @@ def verify_payoff_guarantees(
     norm = normalize(game)
     bias = config.per_round_bias
     epsilon, delta = config.epsilon, config.delta
-    p_h = honest_output_distribution(em, norm)
+    tree = _Tree(em, norm)
     source = {player: expected_utility(norm, em.source, player) for player in (1, 2)}
-    honest_run = {player: leaf_expectation(em, norm, p_h, player) for player in (1, 2)}
+    honest_run = {player: tree.expectation(tree.honest_leaves, player) for player in (1, 2)}
 
     verdicts: dict[str, bool] = {}
     for player in (1, 2):
@@ -433,19 +552,17 @@ def verify_payoff_guarantees(
         )
     for cheater in (1, 2):
         honest = _check_players(cheater)
-        adv = worst_case_adversary(em, norm, bias, cheater, power=power)
-        q = adv.leaf_distribution
+        _, weights = tree.backward_induction(bias, cheater, power, "max-own")
+        q = tree.leaves(weights, cheater)
         verdicts[f"cheater_gain_bounded_p{cheater}"] = (
-            leaf_expectation(em, norm, q, cheater) <= honest_run[cheater] + epsilon
+            tree.expectation(q, cheater) <= honest_run[cheater] + epsilon
         )
         verdicts[f"honest_loss_bounded_p{honest}_vs_p{cheater}"] = (
-            leaf_expectation(em, norm, q, honest) >= honest_run[honest] - epsilon
+            tree.expectation(q, honest) >= honest_run[honest] - epsilon
         )
-        spite = worst_case_adversary(
-            em, norm, bias, cheater, power=power, objective="min-opponent"
-        )
+        spite, _ = tree.backward_induction(bias, cheater, power, "min-opponent")
         verdicts[f"honest_floor_p{honest}_vs_spiteful_p{cheater}"] = (
-            spite.value >= honest_run[honest] - epsilon
+            spite >= honest_run[honest] - epsilon
         )
     return verdicts
 
@@ -463,11 +580,9 @@ def deviation_gain_bound_holds(
     deviation folded in (deviating scores zero once the opponent rejects);
     the bound is checked on the normalized game.
     """
-    norm = normalize(game)
-    p_h = honest_output_distribution(em, norm)
-    honest_value = leaf_expectation(em, norm, p_h, dishonest)
-    adv = worst_case_adversary(em, norm, config.per_round_bias, dishonest, power=power)
-    return adv.value <= honest_value + config.epsilon
+    tree = _Tree(em, normalize(game))
+    value, _ = tree.backward_induction(config.per_round_bias, dishonest, power, "max-own")
+    return value <= tree.expectation(tree.honest_leaves, dishonest) + config.epsilon
 
 
 def truthful_announcements_optimal(
@@ -487,10 +602,10 @@ def truthful_announcements_optimal(
     """
     epsilon = Fraction(epsilon)
     bias = epsilon / (2 * em.k) if em.k else ZERO
-    norm = normalize(game)
+    tree = _Tree(em, normalize(game))
     for dishonest in (1, 2):
-        free = worst_case_adversary(em, norm, bias, dishonest, power="unrestricted")
-        truthful = worst_case_adversary(em, norm, bias, dishonest, power="truthful")
-        if free.value != truthful.value:
+        free, _ = tree.backward_induction(bias, dishonest, "unrestricted", "max-own")
+        truthful, _ = tree.backward_induction(bias, dishonest, "truthful", "max-own")
+        if free != truthful:
             return False
     return True

@@ -366,8 +366,18 @@ def _add_protocol_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--delta", default="1/2", help="emulation budget (rational)")
 
 
+def _trial_count(text: str) -> int:
+    try:
+        trials = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if trials < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 trial, got {trials}")
+    return trials
+
+
 def _add_trial_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--trials", type=int, default=1000)
+    sub.add_argument("--trials", type=_trial_count, default=1000)
     sub.add_argument("--seed", type=int, default=None, help="root seed (fresh one printed if omitted)")
     sub.add_argument("--jobs", type=int, default=_default_jobs(), help="worker processes (env CE_SAMPLER_JOBS)")
     sub.add_argument("--party1", default="honest", help="honest | greedy | script:<file>")

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 from typing import Mapping, Sequence
 
 from .games import ZERO, Game, JointDistribution, JointStrategy, as_fraction
@@ -124,23 +126,40 @@ def emulate(
 class PreferenceOracle:
     """Constant-time conditional payoff queries over an emulation table.
 
-    Prefix blocks at the same depth all have the same width, so block
-    sums (via cumulative sums over the leaf payoffs) are enough to
-    compare branches; division only happens when an actual expectation
-    is requested.
+    Per player, the utilities of the table's distinct cells are scaled by
+    the lcm of their denominators, so the cumulative sums over the leaf
+    payoffs are ints.  Prefix blocks at the same depth all have the same
+    width, so comparing two integer block sums compares the branches; a
+    ``Fraction`` is built only when a sum or an expectation is requested.
     """
 
     def __init__(self, em: MultisetEmulation, game: Game):
         self.em = em
         self.game = game
         self.k = em.k
-        self._cums: dict[int, list[Fraction]] = {}
+        self._scales: dict[int, int] = {}
+        self._numerators: dict[int, dict[JointStrategy, int]] = {}
+        self._cums: dict[int, list[int]] = {}
         self._sign_memo: dict[tuple[int, BitPrefix], int] = {}
+        cells = dict.fromkeys(em.table)
         for player in (1, 2):
-            acc = [ZERO]
-            for cell in em.table:
-                acc.append(acc[-1] + game.utility(player, cell))
-            self._cums[player] = acc
+            utilities = {cell: game.utility(player, cell) for cell in cells}
+            scale = lcm(*(u.denominator for u in utilities.values()))
+            numerators = {
+                cell: u.numerator * (scale // u.denominator) for cell, u in utilities.items()
+            }
+            self._scales[player] = scale
+            self._numerators[player] = numerators
+            self._cums[player] = list(accumulate((numerators[c] for c in em.table), initial=0))
+
+    def scale(self, player: int) -> int:
+        """The common denominator of ``player``'s utilities over the table."""
+        return self._scales[player]
+
+    def leaf_numerators(self, player: int) -> list[int]:
+        """``player``'s utility at every table entry, times ``scale(player)``."""
+        numerators = self._numerators[player]
+        return [numerators[cell] for cell in self.em.table]
 
     def _block(self, prefix: BitPrefix) -> tuple[int, int]:
         m = len(prefix)
@@ -150,23 +169,27 @@ class PreferenceOracle:
         lo = bits_to_index(prefix) * width
         return lo, lo + width
 
-    def block_sum(self, player: int, prefix: BitPrefix) -> Fraction:
+    def _scaled_sum(self, player: int, prefix: BitPrefix) -> tuple[int, int]:
+        """The block's utility sum times ``scale(player)``, and the block's width."""
         lo, hi = self._block(prefix)
         cums = self._cums[player]
-        return cums[hi] - cums[lo]
+        return cums[hi] - cums[lo], hi - lo
+
+    def block_sum(self, player: int, prefix: BitPrefix) -> Fraction:
+        total, _ = self._scaled_sum(player, prefix)
+        return Fraction(total, self._scales[player])
 
     def conditional_expected(self, player: int, prefix: BitPrefix, next_bit: int) -> Fraction:
-        lo, hi = self._block(tuple(prefix) + (next_bit,))
-        cums = self._cums[player]
-        return (cums[hi] - cums[lo]) / (hi - lo)
+        total, width = self._scaled_sum(player, tuple(prefix) + (next_bit,))
+        return Fraction(total, self._scales[player] * width)
 
     def preference(self, player: int, prefix: BitPrefix) -> int:
         """+1 when extending the prefix with 0 is weakly better, else -1."""
         key = (player, tuple(prefix))
         sign = self._sign_memo.get(key)
         if sign is None:
-            zero = self.block_sum(player, key[1] + (0,))
-            one = self.block_sum(player, key[1] + (1,))
+            zero, _ = self._scaled_sum(player, key[1] + (0,))
+            one, _ = self._scaled_sum(player, key[1] + (1,))
             sign = 1 if _prefers_zero(zero, one) else -1
             self._sign_memo[key] = sign
         return sign
@@ -181,18 +204,17 @@ class PreferenceOracle:
             raise ValueError(f"level {m} is not internal to the {self.k}-round tree")
         cums = self._cums[player]
         half = 1 << (self.k - m - 1)
-        bits = []
-        for lo in range(0, 1 << self.k, 2 * half):
-            mid = lo + half
-            zero, one = cums[mid] - cums[lo], cums[mid + half] - cums[mid]
-            bits.append(0 if _prefers_zero(zero, one) else 1)
-        return bits
+        ends, mids = cums[:: 2 * half], cums[half :: 2 * half]
+        return [
+            0 if _prefers_zero(mid - lo, hi - mid) else 1
+            for lo, mid, hi in zip(ends, mids, ends[1:])
+        ]
 
     def preferred_bit(self, player: int, prefix: BitPrefix) -> int:
         return 0 if self.preference(player, prefix) == 1 else 1
 
 
-def _prefers_zero(zero_sum: Fraction, one_sum: Fraction) -> bool:
+def _prefers_zero(zero_sum: int, one_sum: int) -> bool:
     """The preference rule on two equal-width block sums: ties prefer 0."""
     return zero_sum >= one_sum
 

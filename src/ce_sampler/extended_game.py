@@ -27,8 +27,6 @@ from .protocol import (
 )
 from .rng import RandomStream
 
-HonestStrategySigma = PartyBehavior  # honest play is the behavior base class
-
 
 def settle(
     game: Game, stage2: JointStrategy, checks: tuple[str, str]

@@ -200,6 +200,70 @@ class TestWorstCaseAdversary:
             policy_outcome(em, bos, {(0, 0, 0): 1, (7,): 1}, 1)
 
 
+class TestScaledWeights:
+    """Policies whose weights share no denominator, against a direct Fraction recursion."""
+
+    @staticmethod
+    def recursive_outcome(em, game, policy, dishonest, objective):
+        honest = 3 - dishonest
+        player = dishonest if objective == "max-own" else honest
+        dist = {}
+
+        def walk(prefix, mass):
+            if len(prefix) == em.k:
+                dist[prefix] = mass
+                return
+            zero = conditional_expected_utility(em, game, prefix, 0, honest)
+            one = conditional_expected_utility(em, game, prefix, 1, honest)
+            b_h = 0 if zero >= one else 1
+            w = policy[prefix]
+            walk(prefix + (b_h,), mass * (1 - w))
+            walk(prefix + (1 - b_h,), mass * w)
+
+        walk((), F(1))
+        dist = {bits: mass for bits, mass in dist.items() if mass}
+        value = F(0)
+        for bits, mass in dist.items():
+            v = game.utility(player, em.entry(bits))
+            value += mass * (max(v, F(0)) if objective == "max-own" else v)
+        return value, dist
+
+    def test_unrelated_denominators(self, bos, bos_fair_ce):
+        weights = [F(1, 3), F(2, 7), F(5, 11), F(0), F(1)]
+        rng = random.Random(47)
+        games = [(bos, emulate(bos, bos_fair_ce, F(1, 4)))]
+        for _ in range(3):
+            game = random_rational_game(rng, 2, rng.randint(2, 3))
+            games.append((game, emulate(game, random_distribution(rng, list(game.cells())), F(1, 2))))
+        for game, em in games:
+            nodes = [prefix for m in range(em.k) for prefix in itertools.product((0, 1), repeat=m)]
+            for _ in range(3):
+                policy = {prefix: rng.choice(weights) for prefix in nodes}
+                for dishonest, objective in itertools.product((1, 2), ("max-own", "min-opponent")):
+                    outcome = policy_outcome(em, game, policy, dishonest, objective)
+                    value, dist = self.recursive_outcome(em, game, policy, dishonest, objective)
+                    assert outcome.value == value
+                    assert outcome.leaf_distribution == dist
+                    assert outcome.policy == policy
+
+
+def test_single_cell_emulation_has_one_leaf():
+    # A single-cell CE needs no rounds: k = 0, and the empty index is the only leaf.
+    game = Game.from_payoffs([[F(-3, 7)]], [[F(5, 11)]])
+    em = emulate(game, JointDistribution.point_mass(JointStrategy(0, 0)), F(1))
+    assert em.k == 0
+    assert honest_output_distribution(em, game) == {(): F(1)}
+    for power, objective, dishonest in itertools.product(
+        POWERS, ("max-own", "min-opponent"), (1, 2)
+    ):
+        adv = worst_case_adversary(em, game, F(1, 10), dishonest, power, objective)
+        assert adv.leaf_distribution == {(): F(1)}
+        assert adv.policy == {}
+        player = dishonest if objective == "max-own" else 3 - dishonest
+        v = game.utility(player, JointStrategy(0, 0))
+        assert adv.value == (max(v, F(0)) if objective == "max-own" else v)
+
+
 class TestDistanceBounds:
     def test_bos_l1_profile(self, bos, bos_fair_ce):
         em = emulate(bos, bos_fair_ce, F(1, 2))

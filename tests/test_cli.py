@@ -132,6 +132,17 @@ class TestPlay:
         assert all(payload["exact"]["payoff_guarantees"].values())
 
 
+@pytest.mark.parametrize("command", ["run", "play"])
+@pytest.mark.parametrize("trials", ["0", "-3", "many"])
+def test_bad_trial_count_is_rejected(command, trials, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(command, "--game", BOS, "--objective", "max-fair", "--trials", trials, "--seed", "1")
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "--trials" in captured.err
+    assert captured.out == ""
+
+
 class TestAnalyze:
     def test_report_schema(self, tmp_path):
         out = tmp_path / "analysis.json"

@@ -148,6 +148,73 @@ class TestConditionals:
                 oracle.preferred_bits(1, m)
 
 
+def mixed_denominator_game(rng: random.Random, rows: int, cols: int) -> Game:
+    """Unnormalized payoffs of both signs over the denominators 1, 3, 7 and 11."""
+
+    def matrix():
+        return [
+            [F(rng.randint(-20, 20), rng.choice([1, 3, 7, 11])) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+
+    return Game.from_payoffs(matrix(), matrix())
+
+
+class TestIntegerOracle:
+    """The oracle's integer sums against sums taken directly in Fractions."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(53)
+        for _ in range(6):
+            game = mixed_denominator_game(rng, rng.randint(2, 3), rng.randint(2, 3))
+            p = random_distribution(rng, list(game.cells()))
+            yield game, emulate(game, p, rng.choice([F(1, 2), F(1, 4)]))
+
+    def test_sums_and_bits_match_a_fraction_reference(self):
+        for game, em in self.cases():
+            oracle = PreferenceOracle(em, game)
+            for player in (1, 2):
+                leaf = [game.utility(player, cell) for cell in em.table]
+                for m in range(em.k + 1):
+                    width = 1 << (em.k - m)
+                    sums = [sum(leaf[j * width:(j + 1) * width], F(0)) for j in range(1 << m)]
+                    prefixes = [index_to_bits(j, m) for j in range(1 << m)]
+                    assert [oracle.block_sum(player, prefix) for prefix in prefixes] == sums
+                    if m == em.k:
+                        continue
+                    halves = [
+                        (sum(leaf[lo:lo + width // 2], F(0)), sum(leaf[lo + width // 2:lo + width], F(0)))
+                        for lo in range(0, em.size, width)
+                    ]
+                    assert [
+                        (oracle.conditional_expected(player, prefix, 0),
+                         oracle.conditional_expected(player, prefix, 1))
+                        for prefix in prefixes
+                    ] == [(zero / (width // 2), one / (width // 2)) for zero, one in halves]
+                    assert oracle.preferred_bits(player, m) == [
+                        0 if zero >= one else 1 for zero, one in halves
+                    ]
+
+    def test_values_are_exact_fractions(self):
+        game = Game.from_payoffs([[F(1, 3), F(-2, 7)]], [[F(5, 11), F(0)]])
+        p = JointDistribution({JointStrategy(0, 0): F(1, 2), JointStrategy(0, 1): F(1, 2)})
+        oracle = PreferenceOracle(emulate(game, p, F(1)), game)
+        assert oracle.block_sum(1, ()) == F(1, 3) - F(2, 7)
+        assert oracle.conditional_expected(1, (), 1) == F(-2, 7)
+        assert oracle.conditional_expected(2, (), 0) == F(5, 11)
+        assert oracle.preference(1, ()) == 1
+
+    def test_full_length_prefix_has_no_preference(self, bos, bos_fair_ce):
+        em = emulate(bos, bos_fair_ce, F(1, 2))
+        oracle = PreferenceOracle(em, bos)
+        for player in (1, 2):
+            with pytest.raises(ValueError):
+                oracle.preference(player, (0,) * em.k)
+            with pytest.raises(ValueError):
+                oracle.conditional_expected(player, (0,) * em.k, 0)
+
+
 class TestBitHelpers:
     def test_roundtrip(self):
         for k in (1, 3, 6):
