@@ -24,8 +24,8 @@ from .acceptance import run_acceptance
 from .analysis import POWERS, verify_distance_bounds, verify_payoff_guarantees, worst_case_adversary
 from .ce_solver import CeObjective, solve_ce
 from .emulation import emulate
-from .extended_game import play_extended_game
-from .games import ZERO, Game, JointDistribution, as_fraction, check_ce, normalize
+from .extended_game import play_extended_game, settle
+from .games import ZERO, Game, JointDistribution, JointStrategy, as_fraction, check_ce, normalize
 from .protocol import (
     HonestParty,
     PartyBehavior,
@@ -50,13 +50,6 @@ PER_TRIAL_LIMIT = 5000  # per-trial rows are included in reports up to this many
 
 def _fresh_seed() -> int:
     return int.from_bytes(os.urandom(4), "big")
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("CE_SAMPLER_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _build_party(
@@ -113,40 +106,41 @@ def _trial_chunk(payload) -> dict:
 
     Per-trial streams are derived from the absolute trial index, so the
     result is independent of how trials are chunked across processes.
+    ``outcomes`` counts the stage-1 outputs in ``run`` mode and the
+    (stage-2 profile, checks) pairs in ``play`` mode; ``log`` holds the
+    transcript log lines when one is wanted.
     """
-    (game, p, config, spec1, spec2, seed, start, count, mode, want_rows) = payload
+    (game, p, config, spec1, spec2, seed, start, count, mode, want_rows, want_log) = payload
     em = emulate(game, p, config.delta)
     party1 = _build_party(spec1, 1, game, em, config)
     party2 = _build_party(spec2, 2, game, em, config)
     root = RandomStream(seed)
-    outputs: Counter = Counter()
-    payoff_sum = [ZERO, ZERO]
-    payoff_sq = [ZERO, ZERO]
+    outcomes: Counter = Counter()
     rows = [] if want_rows else None
+    log = [] if want_log else None
     for t in range(start, start + count):
         stream = root.child(t)
         if mode == "run":
             transcript = run_protocol(
                 game, p, config, party1, party2, stream,
-                em=em, record_messages=False, warn_not_ce=False,
+                em=em, record_messages=want_log, warn_not_ce=False,
             )
             out = transcript.output
-            outputs[(out.s1, out.s2)] += 1
+            outcomes[(out.s1, out.s2)] += 1
             if rows is not None:
                 rows.append({
                     "trial": t,
                     "ell": "".join(str(b) for b in transcript.ell),
                     "output": f"{out.s1},{out.s2}",
                 })
+            if log is not None:
+                log.extend(json.dumps(record) for record in transcript_records(transcript))
         else:
             outcome = play_extended_game(
                 game, p, config, party1, party2, stream,
                 em=em, record_messages=False, warn_not_ce=False,
             )
-            outputs[(outcome.stage2.s1, outcome.stage2.s2)] += 1
-            for i in (0, 1):
-                payoff_sum[i] += outcome.payoffs[i]
-                payoff_sq[i] += outcome.payoffs[i] ** 2
+            outcomes[(outcome.stage2.s1, outcome.stage2.s2, outcome.checks)] += 1
             if rows is not None:
                 out = outcome.transcript.output
                 rows.append({
@@ -157,43 +151,58 @@ def _trial_chunk(payload) -> dict:
                     "checks": "".join(outcome.checks),
                     "payoffs": [str(v) for v in outcome.payoffs],
                 })
-    return {
-        "outputs": outputs,
-        "payoff_sum": payoff_sum,
-        "payoff_sq": payoff_sq,
-        "rows": rows,
-    }
+    return {"outcomes": outcomes, "rows": rows, "log": log}
 
 
-def _run_trials(game, p, config, args, seed: int, mode: str) -> dict:
-    trials, jobs = args.trials, args.jobs
+def _chunk_bounds(trials: int, jobs: int) -> list[tuple[int, int]]:
+    """(start, count) of each chunk: at most ``jobs`` near-equal runs of trials."""
+    per_chunk = math.ceil(trials / jobs)
+    return [(start, min(per_chunk, trials - start)) for start in range(0, trials, per_chunk)]
+
+
+def _worker_count(jobs: int, n_chunks: int) -> int:
+    """Processes to start: never more than there are chunks to run."""
+    return min(jobs, n_chunks)
+
+
+def _run_trials(game, p, config, args, seed: int, mode: str) -> tuple[dict, list[str] | None]:
+    """Run every trial once; returns the report fields and, if asked, the log lines."""
+    trials = args.trials
     want_rows = trials <= PER_TRIAL_LIMIT
-    chunks = []
-    per_chunk = max(1, math.ceil(trials / max(jobs, 1)))
-    start = 0
-    while start < trials:
-        count = min(per_chunk, trials - start)
-        chunks.append((game, p, config, args.party1, args.party2, seed, start, count, mode, want_rows))
-        start += count
-    if jobs > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    want_log = bool(getattr(args, "transcript", None))
+    chunks = [
+        (game, p, config, args.party1, args.party2, seed, start, count, mode, want_rows, want_log)
+        for start, count in _chunk_bounds(trials, args.jobs)
+    ]
+    workers = _worker_count(args.jobs, len(chunks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_trial_chunk, chunks))
     else:
         results = [_trial_chunk(chunk) for chunk in chunks]
 
+    outcomes: Counter = Counter()
+    rows = [] if want_rows else None
+    log = [] if want_log else None
+    for result in results:
+        outcomes.update(result["outcomes"])
+        if rows is not None:
+            rows.extend(result["rows"])
+        if log is not None:
+            log.extend(result["log"])
+    if rows is not None:
+        rows.sort(key=lambda r: r["trial"])
+
     outputs: Counter = Counter()
     payoff_sum = [ZERO, ZERO]
     payoff_sq = [ZERO, ZERO]
-    rows = [] if want_rows else None
-    for result in results:
-        outputs.update(result["outputs"])
-        for i in (0, 1):
-            payoff_sum[i] += result["payoff_sum"][i]
-            payoff_sq[i] += result["payoff_sq"][i]
-        if rows is not None:
-            rows.extend(result["rows"])
-    if rows is not None:
-        rows.sort(key=lambda r: r["trial"])
+    for key, n in outcomes.items():
+        outputs[key[:2]] += n
+        if mode == "play":
+            payoffs = settle(game, JointStrategy(*key[:2]), key[2])
+            for i in (0, 1):
+                payoff_sum[i] += n * payoffs[i]
+                payoff_sq[i] += n * payoffs[i] ** 2
 
     report: dict = {
         "frequencies": {
@@ -207,7 +216,7 @@ def _run_trials(game, p, config, args, seed: int, mode: str) -> dict:
             f"p{i + 1}": _mean_with_half_width(payoff_sum[i], payoff_sq[i], trials)
             for i in (0, 1)
         }
-    return report
+    return report, log
 
 
 def _prepare(args) -> tuple[Game, JointDistribution, ProtocolConfig, int]:
@@ -232,11 +241,14 @@ def _cmd_solve_ce(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.transcript and args.trials > PER_TRIAL_LIMIT:
+        raise ValueError(f"transcript logging is capped at {PER_TRIAL_LIMIT} trials")
     game, p, config, seed = _prepare(args)
+    fields, log = _run_trials(game, p, config, args, seed, "run")
     report = {
         "command": "run",
         "config": _config_echo(args, args.game, config, seed),
-        **_run_trials(game, p, config, args, seed, "run"),
+        **fields,
     }
     if args.analyze:
         exact = verify_distance_bounds(
@@ -247,35 +259,20 @@ def _cmd_run(args) -> int:
             for bits, mass in sorted(exact.honest_distribution.items())
         }
         report["exact_verdicts"] = exact.verdicts
-    if args.transcript:
-        _write_transcripts(game, p, config, args, seed)
+    if log is not None:
+        with open(args.transcript, "w") as handle:
+            handle.writelines(line + "\n" for line in log)
     _emit_report(report, args.report)
     return 0
 
 
-def _write_transcripts(game, p, config, args, seed: int) -> None:
-    if args.trials > PER_TRIAL_LIMIT:
-        raise ValueError(f"transcript logging is capped at {PER_TRIAL_LIMIT} trials")
-    em = emulate(game, p, config.delta)
-    party1 = _build_party(args.party1, 1, game, em, config)
-    party2 = _build_party(args.party2, 2, game, em, config)
-    root = RandomStream(seed)
-    with open(args.transcript, "w") as handle:
-        for t in range(args.trials):
-            transcript = run_protocol(
-                game, p, config, party1, party2, root.child(t),
-                em=em, record_messages=True, warn_not_ce=False,
-            )
-            for record in transcript_records(transcript):
-                handle.write(json.dumps(record) + "\n")
-
-
 def _cmd_play(args) -> int:
     game, p, config, seed = _prepare(args)
+    fields, _ = _run_trials(game, p, config, args, seed, "play")
     report = {
         "command": "play",
         "config": _config_echo(args, args.game, config, seed),
-        **_run_trials(game, p, config, args, seed, "play"),
+        **fields,
     }
     report["exact"] = {
         "input_is_ce": check_ce(game, p),
@@ -366,20 +363,35 @@ def _add_protocol_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--delta", default="1/2", help="emulation budget (rational)")
 
 
-def _trial_count(text: str) -> int:
-    try:
-        trials = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if trials < 1:
-        raise argparse.ArgumentTypeError(f"need at least 1 trial, got {trials}")
-    return trials
+def _at_least_one(noun: str):
+    """An argparse type: an int of at least 1, else an error that names the option."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"need at least 1 {noun}, got {value}")
+        return value
+
+    return parse
+
+
+_trial_count = _at_least_one("trial")
+_job_count = _at_least_one("job")
 
 
 def _add_trial_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--trials", type=_trial_count, default=1000)
     sub.add_argument("--seed", type=int, default=None, help="root seed (fresh one printed if omitted)")
-    sub.add_argument("--jobs", type=int, default=_default_jobs(), help="worker processes (env CE_SAMPLER_JOBS)")
+    # A string default goes through ``type`` too, so the variable is checked like the flag.
+    sub.add_argument(
+        "--jobs",
+        type=_job_count,
+        default=os.environ.get("CE_SAMPLER_JOBS", "1"),
+        help="worker processes (default: env CE_SAMPLER_JOBS, else 1)",
+    )
     sub.add_argument("--party1", default="honest", help="honest | greedy | script:<file>")
     sub.add_argument("--party2", default="honest", help="honest | greedy | script:<file>")
     sub.add_argument("--report", default=None, help="write the JSON report here instead of stdout")

@@ -141,6 +141,7 @@ class PreferenceOracle:
         self._numerators: dict[int, dict[JointStrategy, int]] = {}
         self._cums: dict[int, list[int]] = {}
         self._sign_memo: dict[tuple[int, BitPrefix], int] = {}
+        self._node_signs: dict[int, list[int]] = {}
         cells = dict.fromkeys(em.table)
         for player in (1, 2):
             utilities = {cell: game.utility(player, cell) for cell in cells}
@@ -213,10 +214,41 @@ class PreferenceOracle:
     def preferred_bit(self, player: int, prefix: BitPrefix) -> int:
         return 0 if self.preference(player, prefix) == 1 else 1
 
+    def node_signs(self, player: int) -> list[int]:
+        """``player``'s preference sign at every internal node, in heap order.
+
+        Entry h is the sign at the node whose heap index is h (the root is
+        1, the children of h are 2h and 2h + 1); entry 0 is unused.  Built
+        once per player from the level arrays of ``preferred_bits``.
+        """
+        signs = self._node_signs.get(player)
+        if signs is None:
+            signs = [0]
+            for m in range(self.k):
+                signs.extend(1 if bit == 0 else -1 for bit in self.preferred_bits(player, m))
+            self._node_signs[player] = signs
+        return signs
+
 
 def _prefers_zero(zero_sum: int, one_sum: int) -> bool:
     """The preference rule on two equal-width block sums: ties prefer 0."""
     return zero_sum >= one_sum
+
+
+_last_oracle: PreferenceOracle | None = None
+
+
+def oracle_for(em: MultisetEmulation, game: Game) -> PreferenceOracle:
+    """The oracle over ``em`` and ``game``, built once while both stay the same objects.
+
+    Callers that query one table prefix by prefix, or run many trials on
+    it, share one O(2^k) build instead of paying it per call.
+    """
+    global _last_oracle
+    oracle = _last_oracle
+    if oracle is None or oracle.em is not em or oracle.game is not game:
+        oracle = _last_oracle = PreferenceOracle(em, game)
+    return oracle
 
 
 def conditional_expected_utility(
@@ -229,7 +261,7 @@ def conditional_expected_utility(
     """
     if len(prefix) >= em.k:
         raise ValueError("prefix must leave at least one undecided bit")
-    return PreferenceOracle(em, game).conditional_expected(player, tuple(prefix), next_bit)
+    return oracle_for(em, game).conditional_expected(player, tuple(prefix), next_bit)
 
 
 # ---------------------------------------------------------------------------

@@ -18,24 +18,34 @@ the opponent announced truthfully in every round and played their
 suggested strategy.  A caught lie is thus settled like a game-stage
 deviation: a Reject, and (0, 0) for both.  Dishonest behaviors may lie in
 any of these places; the channel itself is synchronous and lossless.
+
+Every announcement and coin request is a function of the game, the
+emulation table and the node of the 2^k round tree, so a run binds its
+game, emulation, config and two parties once and decides each node on
+its first visit.  A trial then walks k decided nodes and draws coins
+only where a flip settles the bit.  ``simulate_outputs``,
+``run_protocol`` and ``run_round`` all go through that one binding, and
+consecutive calls with the very same objects reuse it; any other call
+rebinds and restarts both parties.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from . import coin_flip
-from .coin_flip import CheaterRequest, WcfSpec
+from .coin_flip import HALF, CheaterRequest, WcfSpec, cheater_win_probability
 from .emulation import (
     BitPrefix,
     MultisetEmulation,
     PreferenceOracle,
     bits_to_index,
     emulate,
+    index_to_bits,
+    oracle_for,
     rounds_for,
 )
 from .games import ZERO, Game, JointDistribution, JointStrategy, as_fraction, check_ce
@@ -70,7 +80,7 @@ def compute_preference(
     """
     if len(prefix) >= em.k:
         raise ValueError("prefix must leave at least one undecided bit")
-    return PreferenceOracle(em, game).preference(player, tuple(prefix))
+    return oracle_for(em, game).preference(player, tuple(prefix))
 
 
 @dataclass(frozen=True)
@@ -155,6 +165,13 @@ class PartyBehavior:
     ``game_move`` picks the strategy actually played; ``check_move``
     accepts or rejects after seeing the opponent's move, rejecting
     outright if any opponent announcement was false.
+
+    Between two ``start`` calls, ``announce`` and ``coin_request`` must be
+    functions of the prefix (and the signs, which the prefix fixes): the
+    run asks each node once and reuses the answer in every later trial,
+    and the exact analysis models behaviors the same way.  Every
+    behavior here meets this.  A behavior whose answers should change
+    must be passed to the next call as a new object, which rebinds.
     """
 
     player: int
@@ -180,11 +197,15 @@ class PartyBehavior:
     def review_announcements(self, transcript: Transcript) -> None:
         """Compare each opponent announcement with the opponent's true preference."""
         opponent = 3 - self.player
-        self.opponent_lied = any(
-            (rec.sign1, rec.sign2)[opponent - 1]
-            != self.oracle.preference(opponent, transcript.ell[: rec.index - 1])
-            for rec in transcript.rounds
-        )
+        truth = self.oracle.node_signs(opponent)
+        lied = False
+        h = 1  # heap index of the round's node
+        for rec, bit in zip(transcript.rounds, transcript.ell):
+            if (rec.sign1 if opponent == 1 else rec.sign2) != truth[h]:
+                lied = True
+                break
+            h = 2 * h + bit
+        self.opponent_lied = lied
 
     def coin_request(
         self, prefix: BitPrefix, own_sign: PreferenceSign, opponent_sign: PreferenceSign
@@ -277,48 +298,132 @@ class ScriptedParty(PartyBehavior):
         return super().check_move(suggestion, opponent_move, opponent_check)
 
 
-def _coin_specs(config: ProtocolConfig) -> tuple[WcfSpec, WcfSpec]:
-    """One flip spec per possible player-1 preferred bit, built once per run."""
-    bias = config.per_round_bias
-    return WcfSpec(0, bias), WcfSpec(1, bias)
+class _Run:
+    """One protocol run bound to (game, emulation, config, party1, party2).
+
+    Binding checks the round count, builds both coin specs, starts both
+    parties on the shared preference oracle, and does so once.  A node of
+    the round tree is then decided on its first visit and kept, keyed by
+    heap index (the root is 1, the children of node h are 2h and 2h + 1).
+    An entry holds ``(win, bit, records)``: for an agreed round ``win`` is
+    None and ``bit`` is the fixed bit; for a coin round ``bit`` is the bit
+    the coin's winner wants and ``win`` its exact win probability (1/2
+    when nobody cheats, the clamped request otherwise).  ``records`` holds
+    the round's record for either outcome bit.  A trial walks k entries
+    and draws only at coin nodes, exactly as many draws as the rounds
+    would take one by one.  This relies on the ``PartyBehavior`` rule that
+    ``announce`` and ``coin_request`` are functions of the prefix.
+    """
+
+    __slots__ = ("key", "em", "k", "party1", "party2", "specs", "nodes")
+
+    def __init__(
+        self,
+        key: tuple,
+        game: Game,
+        em: MultisetEmulation,
+        config: ProtocolConfig,
+        party1: PartyBehavior,
+        party2: PartyBehavior,
+    ):
+        if em.k != config.k:
+            raise ValueError(f"emulation has k={em.k} but the config says k={config.k}")
+        bias = config.per_round_bias
+        self.specs = (WcfSpec(0, bias), WcfSpec(1, bias))
+        oracle = oracle_for(em, game)
+        party1.start(game, em, config, 1, oracle)
+        party2.start(game, em, config, 2, oracle)
+        self.key = key
+        self.em = em
+        self.k = config.k
+        self.party1 = party1
+        self.party2 = party2
+        self.nodes: dict[int, tuple] = {}
+
+    def decide(self, prefix: BitPrefix) -> tuple:
+        """The node entry for ``prefix``: announcements, then any coin request."""
+        h = (1 << len(prefix)) | bits_to_index(prefix)
+        entry = self.nodes.get(h)
+        if entry is not None:
+            return entry
+        index = len(prefix) + 1
+        sign1 = self.party1.announce(prefix)
+        sign2 = self.party2.announce(prefix)
+        if sign1 == sign2:
+            bit = 0 if sign1 == 1 else 1
+            record = RoundRecord(index, sign1, sign2, "agreed", bit, bit)
+            entry = (None, bit, (record, record))
+        else:
+            spec = self.specs[0 if sign1 == 1 else 1]
+            req1 = self.party1.coin_request(prefix, sign1, sign2)
+            req2 = self.party2.coin_request(prefix, sign2, sign1)
+            if req1 is not None and req2 is not None:
+                raise RuntimeError(
+                    "both parties requested a biased coin; the functionality only "
+                    "bounds one cheater against an honest party"
+                )
+            if req1 is None and req2 is None:
+                cheater, request = None, None
+                winner, win = spec.preferred_value_alice, HALF
+            else:
+                cheater = 1 if req1 is not None else 2
+                request = req1 if req1 is not None else req2
+                role = "alice" if cheater == 1 else "bob"
+                winner = spec.winning_value(role)
+                win = cheater_win_probability(spec, CheaterRequest(request))
+            entry = (win, winner, tuple(
+                RoundRecord(index, sign1, sign2, "coin", b, b, cheater, request) for b in (0, 1)
+            ))
+        self.nodes[h] = entry
+        return entry
+
+    def walk(self, randomness: RandomStream, records: list | None = None) -> int:
+        """Settle all k index bits for one trial and return the table index.
+
+        Each round's record is appended to ``records`` when one is given.
+        """
+        nodes = self.nodes
+        h = 1
+        for depth in range(self.k):
+            entry = nodes.get(h)
+            if entry is None:
+                entry = self.decide(index_to_bits(h - (1 << depth), depth))
+            win, bit, settled = entry
+            if win is not None:
+                bit = bit if randomness.bernoulli(win) else 1 - bit
+            if records is not None:
+                records.append(settled[bit])
+            h = 2 * h + bit
+        return h - (1 << self.k)
 
 
-def _settle_bit(
-    prefix: BitPrefix,
-    specs: tuple[WcfSpec, WcfSpec],
+_last_run: _Run | None = None
+
+
+def _bind(
+    game: Game,
+    p: JointDistribution | None,
+    config: ProtocolConfig,
     party1: PartyBehavior,
     party2: PartyBehavior,
-    randomness: RandomStream,
-) -> tuple[PreferenceSign, PreferenceSign, str, int, int | None, Fraction | None]:
-    """One round: (sign1, sign2, resolution, bit, cheater, win_request)."""
-    sign1 = party1.announce(prefix)
-    sign2 = party2.announce(prefix)
-    if sign1 == sign2:
-        return sign1, sign2, "agreed", (0 if sign1 == 1 else 1), None, None
+    em: MultisetEmulation | None,
+) -> _Run:
+    """The run for these objects: the last binding when every one is the same object.
 
-    spec = specs[0 if sign1 == 1 else 1]
-    req1 = party1.coin_request(prefix, sign1, sign2)
-    req2 = party2.coin_request(prefix, sign2, sign1)
-    if req1 is not None and req2 is not None:
-        raise RuntimeError(
-            "both parties requested a biased coin; the functionality only "
-            "bounds one cheater against an honest party"
-        )
-    if req1 is None and req2 is None:
-        outcome = coin_flip.run_honest(spec, randomness)
-        cheater, request = None, None
-    else:
-        cheater = 1 if req1 is not None else 2
-        request = req1 if req1 is not None else req2
-        outcome = coin_flip.run_with_cheater(
-            spec,
-            "alice" if cheater == 1 else "bob",
-            CheaterRequest(request),
-            randomness,
-        )
-    bit = outcome.resolved
-    assert bit is not None  # the ideal functionality never disagrees
-    return sign1, sign2, "coin", bit, cheater, request
+    Without ``em`` the emulation is built from ``p``, so ``p`` stands in
+    for it in the comparison.  Any other call rebinds, which restarts both
+    parties.
+    """
+    global _last_run
+    key = (game, em if em is not None else p, config, party1, party2)
+    run = _last_run
+    if run is not None and all(a is b for a, b in zip(run.key, key)):
+        return run
+    _last_run = None  # a failed binding may have restarted the parties
+    if em is None:
+        em = emulate(game, p, config.delta)
+    _last_run = _Run(key, game, em, config, party1, party2)
+    return _last_run
 
 
 def run_round(
@@ -329,51 +434,20 @@ def run_round(
     party2: PartyBehavior,
     randomness: RandomStream,
 ) -> RoundRecord:
-    """Settle one index bit: matching signs fix it, a mismatch flips for it."""
-    sign1, sign2, resolution, bit, cheater, request = _settle_bit(
-        tuple(prefix), _coin_specs(config), party1, party2, randomness
-    )
-    return RoundRecord(index, sign1, sign2, resolution, bit, bit, cheater, request)
+    """Settle one index bit: matching signs fix it, a mismatch flips for it.
 
-
-def _execute_rounds(
-    config: ProtocolConfig,
-    party1: PartyBehavior,
-    party2: PartyBehavior,
-    randomness: RandomStream,
-    keep_records: bool,
-) -> tuple[BitPrefix, list[RoundRecord]]:
-    specs = _coin_specs(config) if config.k else None
-    bits: list[int] = []
-    records: list[RoundRecord] = []
-    for j in range(config.k):
-        sign1, sign2, resolution, bit, cheater, request = _settle_bit(
-            tuple(bits), specs, party1, party2, randomness
-        )
-        bits.append(bit)
-        if keep_records:
-            records.append(
-                RoundRecord(j + 1, sign1, sign2, resolution, bit, bit, cheater, request)
-            )
-    return tuple(bits), records
-
-
-def _start_parties(
-    game: Game,
-    p: JointDistribution,
-    config: ProtocolConfig,
-    party1: PartyBehavior,
-    party2: PartyBehavior,
-    em: MultisetEmulation | None,
-) -> tuple[MultisetEmulation, PreferenceOracle]:
-    if em is None:
-        em = emulate(game, p, config.delta)
-    if em.k != config.k:
-        raise ValueError(f"emulation has k={em.k} but the config says k={config.k}")
-    oracle = PreferenceOracle(em, game)
-    party1.start(game, em, config, 1, oracle)
-    party2.start(game, em, config, 2, oracle)
-    return em, oracle
+    The parties must already be started; the run is bound to the game and
+    emulation that party 1 was started on.
+    """
+    prefix = tuple(prefix)
+    if len(prefix) >= config.k:
+        raise ValueError("prefix must leave at least one undecided bit")
+    run = _bind(party1.game, None, config, party1, party2, party1.em)
+    win, bit, settled = run.decide(prefix)
+    if win is not None:
+        bit = bit if randomness.bernoulli(win) else 1 - bit
+    record = settled[bit]
+    return record if record.index == index else replace(record, index=index)
 
 
 def run_protocol(
@@ -394,9 +468,11 @@ def run_protocol(
     """
     if warn_not_ce and not check_ce(game, p):
         warnings.warn("input distribution is not a correlated equilibrium", stacklevel=2)
-    em, _ = _start_parties(game, p, config, party1, party2, em)
-    ell, records = _execute_rounds(config, party1, party2, randomness, keep_records=True)
-    output = em.table[bits_to_index(ell)]
+    run = _bind(game, p, config, party1, party2, em)
+    records: list[RoundRecord] = []
+    leaf = run.walk(randomness, records)
+    output = run.em.table[leaf]
+    ell = tuple([rec.c1 for rec in records])
 
     transcript = Transcript(config, records, ell, output, output)
     if record_messages:
@@ -421,13 +497,12 @@ def simulate_outputs(
 ) -> Counter:
     """Empirical index distribution over many runs.
 
-    Runs the real per-round machinery (announcements, agreements, coin
-    flips) but skips transcript assembly; trial ``t`` draws from
-    ``randomness.child(t)``, so counts are independent of execution order.
+    Draws the same coins as ``run_protocol`` but skips transcript
+    assembly; trial ``t`` draws from ``randomness.child(t)``, so counts are
+    independent of execution order.
     """
-    _start_parties(game, p, config, party1, party2, em)
-    counts: Counter = Counter()
+    run = _bind(game, p, config, party1, party2, em)
+    leaves: Counter = Counter()
     for t in range(trials):
-        ell, _ = _execute_rounds(config, party1, party2, randomness.child(t), keep_records=False)
-        counts[ell] += 1
-    return counts
+        leaves[run.walk(randomness.child(t))] += 1
+    return Counter({index_to_bits(leaf, run.k): n for leaf, n in leaves.items()})

@@ -23,7 +23,7 @@ class RandomStream:
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
         self.seed = seed
         self.path = path
-        material = ("%d:" % seed + "/".join(str(p) for p in path)).encode()
+        material = ("%d:" % seed + "/".join(map(str, path))).encode()
         digest = hashlib.sha256(material).digest()
         self._rng = random.Random(int.from_bytes(digest, "big"))
 
@@ -41,13 +41,14 @@ class RandomStream:
 
     def bernoulli(self, p: Fraction) -> bool:
         """True with probability exactly ``p`` (integer arithmetic, no floats)."""
-        if not 0 <= p <= 1:
+        numerator, denominator = p.numerator, p.denominator  # ints: no Fraction compares
+        if not 0 <= numerator <= denominator:
             raise ValueError("bernoulli probability must lie in [0, 1]")
-        if p == 0:
+        if numerator == 0:
             return False
-        if p == 1:
+        if numerator == denominator:
             return True
-        return self.randbelow(p.denominator) < p.numerator
+        return self._rng.randrange(denominator) < numerator
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RandomStream(seed={self.seed}, path={self.path})"

@@ -187,12 +187,5 @@ def transcript_records(transcript: Transcript) -> list[dict]:
     return records
 
 
-def write_transcript_log(path: str | Path, transcripts: list[Transcript]) -> None:
-    with open(path, "w") as handle:
-        for transcript in transcripts:
-            for record in transcript_records(transcript):
-                handle.write(json.dumps(record) + "\n")
-
-
 def write_json(path: str | Path, payload: Mapping[str, Any]) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ce_sampler.cli import main
+from ce_sampler.cli import _chunk_bounds, _worker_count, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = SRC / "ce_sampler" / "data"
@@ -141,6 +141,47 @@ def test_bad_trial_count_is_rejected(command, trials, capsys):
     captured = capsys.readouterr()
     assert "--trials" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "play"])
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_bad_job_count_is_rejected(command, jobs, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(command, "--game", BOS, "--objective", "max-fair", "--trials", "5",
+                "--seed", "1", "--jobs", jobs)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "--jobs" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value, code", [("2", 0), ("0", 2), ("-3", 2), ("two", 2)])
+def test_jobs_default_from_environment_is_checked(value, code, monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("CE_SAMPLER_JOBS", value)
+    argv = ["run", "--game", BOS, "--objective", "max-fair", "--trials", "4", "--seed", "1",
+            "--report", str(tmp_path / "r.json")]
+    if code:
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*argv)
+        assert exit_info.value.code == code
+        assert "--jobs" in capsys.readouterr().err
+    else:
+        assert run_cli(*argv) == 0
+        assert json.loads((tmp_path / "r.json").read_text())["config"]["jobs"] == 2
+
+
+@pytest.mark.parametrize(
+    "trials, jobs, bounds, workers",
+    [
+        (10, 1, [(0, 10)], 1),
+        (10, 3, [(0, 4), (4, 4), (8, 2)], 3),
+        (5, 64, [(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)], 5),
+        (1, 8, [(0, 1)], 1),
+    ],
+)
+def test_pool_is_sized_by_chunks(trials, jobs, bounds, workers):
+    assert _chunk_bounds(trials, jobs) == bounds
+    assert _worker_count(jobs, len(bounds)) == workers
 
 
 class TestAnalyze:
