@@ -45,8 +45,8 @@ from .emulation import (
 )
 from .coin_flip import (
     CheaterRequest,
-    WcfOutcome,
     WcfSpec,
+    flip_law,
     outcome_distribution,
     run_honest,
     run_with_cheater,
@@ -108,7 +108,6 @@ __all__ = [
     "RandomStream",
     "ScriptedParty",
     "Transcript",
-    "WcfOutcome",
     "WcfSpec",
     "as_fraction",
     "augmented_normal_form",
@@ -123,6 +122,7 @@ __all__ = [
     "deviation_gain_bound_holds",
     "emulate",
     "expected_utility",
+    "flip_law",
     "honest_output_distribution",
     "honest_policy",
     "l1_distance",

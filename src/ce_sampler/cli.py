@@ -23,24 +23,29 @@ from fractions import Fraction
 from .acceptance import run_acceptance
 from .analysis import POWERS, verify_distance_bounds, verify_payoff_guarantees, worst_case_adversary
 from .ce_solver import CeObjective, solve_ce
-from .emulation import emulate
+from .emulation import MultisetEmulation, emulate
 from .extended_game import play_extended_game, settle
-from .games import ZERO, Game, JointDistribution, JointStrategy, as_fraction, check_ce, normalize
-from .protocol import (
-    HonestParty,
-    PartyBehavior,
-    PolicyParty,
-    ProtocolConfig,
-    ScriptedParty,
-    run_protocol,
+from .games import (
+    ZERO,
+    Game,
+    JointDistribution,
+    JointStrategy,
+    as_fraction,
+    check_ce,
+    expected_utility,
+    normalize,
 )
+from .protocol import HonestParty, PartyBehavior, PolicyParty, ProtocolConfig, run_protocol
 from .rng import RandomStream
 from .serialization import (
     GameFormatError,
+    bit_keyed_json,
+    bit_string,
     distribution_to_json,
     emulation_to_json,
     fraction_field,
     parse_game_file,
+    parse_script_file,
     transcript_records,
     write_json,
 )
@@ -61,36 +66,20 @@ def _build_party(
         adv = worst_case_adversary(em, normalize(game), config.per_round_bias, role)
         return PolicyParty(adv.policy)
     if spec.startswith("script:"):
-        path = spec.split(":", 1)[1]
-        with open(path) as handle:
-            raw = json.load(handle)
-        def prefix_map(field, convert):
-            return {
-                tuple(int(b) for b in key): convert(value)
-                for key, value in raw.get(field, {}).items()
-            }
-        return ScriptedParty(
-            announce=prefix_map("announce", int),
-            win_request=prefix_map("win_request", as_fraction),
-            move=raw.get("game_move"),
-            check=raw.get("check_move"),
-        )
+        return parse_script_file(spec.split(":", 1)[1], game, role, config.k)
     raise ValueError(f"unknown party spec {spec!r} (use honest, greedy or script:<file>)")
 
 
-def _config_echo(args, game_path: str, config: ProtocolConfig, seed: int) -> dict:
+def _config_echo(args, config: ProtocolConfig, **fields) -> dict:
+    """A report's config block: the game, objective and budgets, then ``fields``."""
     return {
-        "game": os.path.basename(game_path),
+        "game": os.path.basename(args.game),
         "objective": args.objective,
         "epsilon": str(config.epsilon),
         "delta": str(config.delta),
         "k": config.k,
         "per_round_bias": str(config.per_round_bias),
-        "party1": getattr(args, "party1", None),
-        "party2": getattr(args, "party2", None),
-        "trials": getattr(args, "trials", None),
-        "seed": seed,
-        "jobs": getattr(args, "jobs", 1),
+        **fields,
     }
 
 
@@ -110,10 +99,7 @@ def _trial_chunk(payload) -> dict:
     (stage-2 profile, checks) pairs in ``play`` mode; ``log`` holds the
     transcript log lines when one is wanted.
     """
-    (game, p, config, spec1, spec2, seed, start, count, mode, want_rows, want_log) = payload
-    em = emulate(game, p, config.delta)
-    party1 = _build_party(spec1, 1, game, em, config)
-    party2 = _build_party(spec2, 2, game, em, config)
+    (game, p, em, config, party1, party2, seed, start, count, mode, want_rows, want_log) = payload
     root = RandomStream(seed)
     outcomes: Counter = Counter()
     rows = [] if want_rows else None
@@ -130,7 +116,7 @@ def _trial_chunk(payload) -> dict:
             if rows is not None:
                 rows.append({
                     "trial": t,
-                    "ell": "".join(str(b) for b in transcript.ell),
+                    "ell": bit_string(transcript.ell),
                     "output": f"{out.s1},{out.s2}",
                 })
             if log is not None:
@@ -145,7 +131,7 @@ def _trial_chunk(payload) -> dict:
                 out = outcome.transcript.output
                 rows.append({
                     "trial": t,
-                    "ell": "".join(str(b) for b in outcome.transcript.ell),
+                    "ell": bit_string(outcome.transcript.ell),
                     "suggested": f"{out.s1},{out.s2}",
                     "played": f"{outcome.stage2.s1},{outcome.stage2.s2}",
                     "checks": "".join(outcome.checks),
@@ -165,13 +151,21 @@ def _worker_count(jobs: int, n_chunks: int) -> int:
     return min(jobs, n_chunks)
 
 
-def _run_trials(game, p, config, args, seed: int, mode: str) -> tuple[dict, list[str] | None]:
-    """Run every trial once; returns the report fields and, if asked, the log lines."""
+def _run_trials(game, p, em, config, args, mode: str) -> tuple[dict, list[str] | None]:
+    """Run every trial once; returns the report and, if asked, the log lines.
+
+    Both parties are built, and any script file checked, before the first trial.
+    """
+    seed = args.seed if args.seed is not None else _fresh_seed()
+    if args.seed is None:
+        print(f"seed: {seed}")
     trials = args.trials
     want_rows = trials <= PER_TRIAL_LIMIT
     want_log = bool(getattr(args, "transcript", None))
+    party1 = _build_party(args.party1, 1, game, em, config)
+    party2 = _build_party(args.party2, 2, game, em, config)
     chunks = [
-        (game, p, config, args.party1, args.party2, seed, start, count, mode, want_rows, want_log)
+        (game, p, em, config, party1, party2, seed, start, count, mode, want_rows, want_log)
         for start, count in _chunk_bounds(trials, args.jobs)
     ]
     workers = _worker_count(args.jobs, len(chunks))
@@ -205,6 +199,11 @@ def _run_trials(game, p, config, args, seed: int, mode: str) -> tuple[dict, list
                 payoff_sq[i] += n * payoffs[i] ** 2
 
     report: dict = {
+        "command": mode,
+        "config": _config_echo(
+            args, config, party1=args.party1, party2=args.party2, trials=trials, seed=seed,
+            jobs=args.jobs,
+        ),
         "frequencies": {
             f"{s1},{s2}": {"count": n, "empirical": n / trials}
             for (s1, s2), n in sorted(outputs.items())
@@ -219,14 +218,12 @@ def _run_trials(game, p, config, args, seed: int, mode: str) -> tuple[dict, list
     return report, log
 
 
-def _prepare(args) -> tuple[Game, JointDistribution, ProtocolConfig, int]:
+def _prepare(args) -> tuple[Game, JointDistribution, MultisetEmulation, ProtocolConfig]:
+    """The game, its selected equilibrium, the emulation and the round plan."""
     game = parse_game_file(args.game)
     p = solve_ce(game, CeObjective.from_string(args.objective))
     config = ProtocolConfig.plan(game, as_fraction(args.epsilon), as_fraction(args.delta))
-    seed = args.seed if args.seed is not None else _fresh_seed()
-    if args.seed is None:
-        print(f"seed: {seed}")
-    return game, p, config, seed
+    return game, p, emulate(game, p, config.delta), config
 
 
 def _cmd_solve_ce(args) -> int:
@@ -243,21 +240,11 @@ def _cmd_solve_ce(args) -> int:
 def _cmd_run(args) -> int:
     if args.transcript and args.trials > PER_TRIAL_LIMIT:
         raise ValueError(f"transcript logging is capped at {PER_TRIAL_LIMIT} trials")
-    game, p, config, seed = _prepare(args)
-    fields, log = _run_trials(game, p, config, args, seed, "run")
-    report = {
-        "command": "run",
-        "config": _config_echo(args, args.game, config, seed),
-        **fields,
-    }
+    game, p, em, config = _prepare(args)
+    report, log = _run_trials(game, p, em, config, args, "run")
     if args.analyze:
-        exact = verify_distance_bounds(
-            emulate(game, p, config.delta), game, config.epsilon, dishonest=1
-        )
-        report["exact_honest_distribution"] = {
-            "".join(str(b) for b in bits): str(mass)
-            for bits, mass in sorted(exact.honest_distribution.items())
-        }
+        exact = verify_distance_bounds(em, game, config.epsilon, dishonest=1)
+        report["exact_honest_distribution"] = bit_keyed_json(exact.honest_distribution)
         report["exact_verdicts"] = exact.verdicts
     if log is not None:
         with open(args.transcript, "w") as handle:
@@ -267,67 +254,38 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_play(args) -> int:
-    game, p, config, seed = _prepare(args)
-    fields, _ = _run_trials(game, p, config, args, seed, "play")
-    report = {
-        "command": "play",
-        "config": _config_echo(args, args.game, config, seed),
-        **fields,
-    }
+    game, p, em, config = _prepare(args)
+    report, _ = _run_trials(game, p, em, config, args, "play")
     report["exact"] = {
         "input_is_ce": check_ce(game, p),
         "source_payoffs": {
-            f"p{player}": fraction_field(
-                sum((mass * game.utility(player, s) for s, mass in p.probs.items()), ZERO)
-            )
-            for player in (1, 2)
+            f"p{player}": fraction_field(expected_utility(game, p, player)) for player in (1, 2)
         },
     }
     if args.analyze:
-        verdicts = verify_payoff_guarantees(emulate(game, p, config.delta), game, config)
+        verdicts = verify_payoff_guarantees(em, game, config)
         report["exact"]["payoff_guarantees"] = verdicts
     _emit_report(report, args.report)
     return 0
 
 
 def _cmd_analyze(args) -> int:
-    game = parse_game_file(args.game)
-    p = solve_ce(game, CeObjective.from_string(args.objective))
-    config = ProtocolConfig.plan(game, as_fraction(args.epsilon), as_fraction(args.delta))
-    em = emulate(game, p, config.delta)
+    game, p, em, config = _prepare(args)
     report = verify_distance_bounds(em, game, config.epsilon, args.dishonest, power=args.power)
     payoff_verdicts = verify_payoff_guarantees(em, game, config, power=args.power)
 
-    def dist_json(dist):
-        return {
-            "".join(str(b) for b in bits): str(mass)
-            for bits, mass in sorted(dist.items())
-        }
-
     payload = {
         "command": "analyze",
-        "config": {
-            "game": os.path.basename(args.game),
-            "objective": args.objective,
-            "epsilon": str(config.epsilon),
-            "delta": str(config.delta),
-            "k": config.k,
-            "per_round_bias": str(config.per_round_bias),
-            "dishonest": args.dishonest,
-            "adversary_power": args.power,
-        },
+        "config": _config_echo(args, config, dishonest=args.dishonest, adversary_power=args.power),
         "equilibrium": distribution_to_json(p),
         "emulation": emulation_to_json(em),
-        "honest_distribution": dist_json(report.honest_distribution),
-        "adversarial_distribution": dist_json(report.adversarial_distribution),
+        "honest_distribution": bit_keyed_json(report.honest_distribution),
+        "adversarial_distribution": bit_keyed_json(report.adversarial_distribution),
         "adversary_value": fraction_field(report.adversary_value),
         "l1_per_round": [str(v) for v in report.l1_per_round],
         "utilities": {name: fraction_field(v) for name, v in report.utilities.items()},
         "verdicts": {**report.verdicts, **payoff_verdicts},
-        "policy": {
-            "".join(str(b) for b in prefix): str(w)
-            for prefix, w in sorted(report.policy.items())
-        },
+        "policy": bit_keyed_json(report.policy),
     }
     _emit_report(payload, args.report)
     return 0 if all(payload["verdicts"].values()) else 1

@@ -5,8 +5,11 @@ Each party has a designated winning bit (Alice wins on ``a``, Bob on
 party may request any win probability; the functionality clamps it to
 1/2 + bias.  Losing on purpose is unrestricted — a cheater may hand the
 opponent the win with certainty.  Nobody aborts: a party that wanted to
-abort could simply have declared victory instead, so the disagreement
-outcome exists in the types only for transcript-level bookkeeping.
+abort could simply have declared victory instead, so both parties always
+output the same bit.
+
+``flip_law`` states a flip's law once; sampling it, its exact
+distribution and the protocol's round tree all read it from there.
 
 The quantum protocol realizing this functionality for arbitrarily small
 bias is deliberately out of scope; everything here treats it as a black
@@ -49,18 +52,6 @@ class WcfSpec:
 
 
 @dataclass(frozen=True)
-class WcfOutcome:
-    """Both parties' output bits; ``resolved`` is None iff they disagree."""
-
-    c_alice: int
-    c_bob: int
-
-    @property
-    def resolved(self) -> int | None:
-        return self.c_alice if self.c_alice == self.c_bob else None
-
-
-@dataclass(frozen=True)
 class CheaterRequest:
     """A cheating party's desired win probability (clamped by the functionality)."""
 
@@ -73,38 +64,38 @@ class CheaterRequest:
         object.__setattr__(self, "win_probability", w)
 
 
-def run_honest(spec: WcfSpec, randomness: RandomStream) -> WcfOutcome:
-    """Both parties honest: Alice's bit comes up with probability exactly 1/2."""
-    alice_wins = randomness.bernoulli(HALF)
-    bit = spec.preferred_value_alice if alice_wins else 1 - spec.preferred_value_alice
-    return WcfOutcome(bit, bit)
+def flip_law(
+    spec: WcfSpec, cheater: Party | None = None, request: CheaterRequest | None = None
+) -> tuple[int, Fraction]:
+    """A flip's law: (the bit that wins, its exact probability).
+
+    With both parties honest Alice's bit wins with probability exactly
+    1/2.  With one cheater its bit wins with probability
+    ``min(w, 1/2 + bias)``; a request of 0 hands the honest party the win
+    with certainty.
+    """
+    if cheater is None:
+        return spec.preferred_value_alice, HALF
+    return spec.winning_value(cheater), min(request.win_probability, HALF + spec.bias)
 
 
-def cheater_win_probability(spec: WcfSpec, request: CheaterRequest) -> Fraction:
-    """The exact win probability the functionality grants: min(w, 1/2 + bias)."""
-    return min(request.win_probability, HALF + spec.bias)
+def run_honest(spec: WcfSpec, randomness: RandomStream) -> int:
+    """Both parties honest: the settled bit, fair whatever the bias cap."""
+    bit, win = flip_law(spec)
+    return bit if randomness.bernoulli(win) else 1 - bit
 
 
 def outcome_distribution(
     spec: WcfSpec, cheater: Party, request: CheaterRequest
 ) -> dict[int, Fraction]:
-    """Exact distribution of the resolved bit with one cheating party."""
-    win = cheater_win_probability(spec, request)
-    winning_bit = spec.winning_value(cheater)
-    return {winning_bit: win, 1 - winning_bit: 1 - win}
+    """Exact distribution of the settled bit with one cheating party."""
+    bit, win = flip_law(spec, cheater, request)
+    return {bit: win, 1 - bit: 1 - win}
 
 
 def run_with_cheater(
     spec: WcfSpec, cheater: Party, request: CheaterRequest, randomness: RandomStream
-) -> WcfOutcome:
-    """One cheating party against an honest one.
-
-    The cheater's winning bit occurs with probability exactly
-    ``min(w, 1/2 + bias)``; a request of 0 hands the honest party the win
-    with certainty.  The honest party's output always matches the
-    functionality's outcome.
-    """
-    win = cheater_win_probability(spec, request)
-    winning_bit = spec.winning_value(cheater)
-    bit = winning_bit if randomness.bernoulli(win) else 1 - winning_bit
-    return WcfOutcome(bit, bit)
+) -> int:
+    """One cheating party against an honest one: the settled bit."""
+    bit, win = flip_law(spec, cheater, request)
+    return bit if randomness.bernoulli(win) else 1 - bit

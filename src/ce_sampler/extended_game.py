@@ -56,7 +56,7 @@ def play_extended_game(
 ) -> ExtendedOutcome:
     """Run all three stages and settle the payoffs."""
     transcript = run_protocol(game, p, config, party1, party2, randomness, **protocol_kwargs)
-    suggestion = transcript.output_1
+    suggestion = transcript.output
     move1 = party1.game_move(suggestion)
     move2 = party2.game_move(suggestion)
     stage2 = JointStrategy(move1, move2)
@@ -68,8 +68,6 @@ def play_extended_game(
     checks = (check1, check2)
     payoffs = settle(game, stage2, checks)
 
-    transcript.stage2_moves = (move1, move2)
-    transcript.stage3_checks = checks
     transcript.payoffs = payoffs
     if transcript.messages:
         transcript.messages.append(Message("game_move", 1, None, move1))

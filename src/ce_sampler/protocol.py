@@ -23,26 +23,25 @@ Every announcement and coin request is a function of the game, the
 emulation table and the node of the 2^k round tree, so a run binds its
 game, emulation, config and two parties once and decides each node on
 its first visit.  A trial then walks k decided nodes and draws coins
-only where a flip settles the bit.  ``simulate_outputs``,
-``run_protocol`` and ``run_round`` all go through that one binding, and
-consecutive calls with the very same objects reuse it; any other call
-rebinds and restarts both parties.
+only where a flip settles the bit.  ``simulate_outputs`` and
+``run_protocol`` both go through that one binding, and consecutive calls
+with the very same objects reuse it; any other call rebinds and restarts
+both parties.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .coin_flip import HALF, CheaterRequest, WcfSpec, cheater_win_probability
+from .coin_flip import CheaterRequest, WcfSpec, flip_law
 from .emulation import (
     BitPrefix,
     MultisetEmulation,
     PreferenceOracle,
-    bits_to_index,
     emulate,
     index_to_bits,
     oracle_for,
@@ -55,14 +54,6 @@ ACCEPT = "A"
 REJECT = "R"
 
 PreferenceSign = int  # +1 prefers next bit 0, -1 prefers next bit 1
-
-
-def preferred_bit(sign: PreferenceSign) -> int:
-    if sign == 1:
-        return 0
-    if sign == -1:
-        return 1
-    raise ValueError(f"preference sign must be +1 or -1, got {sign!r}")
 
 
 def sign_for_bit(bit: int) -> PreferenceSign:
@@ -128,30 +119,24 @@ class RoundRecord:
     sign1: PreferenceSign
     sign2: PreferenceSign
     resolution: str  # "agreed" | "coin"
-    c1: int
-    c2: int
+    bit: int
     cheater: int | None = None
     win_request: Fraction | None = None
 
 
 @dataclass
 class Transcript:
-    """Full record of one run; the game/check stages are filled in later."""
+    """Full record of one run; the payoffs are filled in by the game stages.
+
+    ``output`` is the profile both parties output: the table entry at ``ell``.
+    """
 
     config: ProtocolConfig
     rounds: list[RoundRecord]
     ell: BitPrefix
-    output_1: JointStrategy | None
-    output_2: JointStrategy | None
+    output: JointStrategy
     messages: list[Message] = field(default_factory=list)
-    stage2_moves: tuple[int, int] | None = None
-    stage3_checks: tuple[str, str] | None = None
     payoffs: tuple[Fraction, Fraction] | None = None
-
-    @property
-    def output(self) -> JointStrategy | None:
-        """The commonly sampled profile, or None if the parties disagree."""
-        return self.output_1 if self.output_1 == self.output_2 else None
 
 
 class PartyBehavior:
@@ -306,12 +291,11 @@ class _Run:
     the round tree is then decided on its first visit and kept, keyed by
     heap index (the root is 1, the children of node h are 2h and 2h + 1).
     An entry holds ``(win, bit, records)``: for an agreed round ``win`` is
-    None and ``bit`` is the fixed bit; for a coin round ``bit`` is the bit
-    the coin's winner wants and ``win`` its exact win probability (1/2
-    when nobody cheats, the clamped request otherwise).  ``records`` holds
-    the round's record for either outcome bit.  A trial walks k entries
-    and draws only at coin nodes, exactly as many draws as the rounds
-    would take one by one.  This relies on the ``PartyBehavior`` rule that
+    None and ``bit`` is the fixed bit; for a coin round ``(bit, win)`` is
+    the flip's ``flip_law``, the bit that wins and its exact probability.
+    ``records`` holds the round's record for either outcome bit.  A trial
+    walks k entries and draws only at coin nodes, exactly as many draws as
+    the rounds would take one by one.  This relies on the ``PartyBehavior`` rule that
     ``announce`` and ``coin_request`` are functions of the prefix.
     """
 
@@ -340,18 +324,15 @@ class _Run:
         self.party2 = party2
         self.nodes: dict[int, tuple] = {}
 
-    def decide(self, prefix: BitPrefix) -> tuple:
-        """The node entry for ``prefix``: announcements, then any coin request."""
-        h = (1 << len(prefix)) | bits_to_index(prefix)
-        entry = self.nodes.get(h)
-        if entry is not None:
-            return entry
-        index = len(prefix) + 1
+    def decide(self, h: int, depth: int) -> tuple:
+        """The entry for node ``h`` at ``depth``: announcements, then any coin request."""
+        prefix = index_to_bits(h - (1 << depth), depth)
+        index = depth + 1
         sign1 = self.party1.announce(prefix)
         sign2 = self.party2.announce(prefix)
         if sign1 == sign2:
             bit = 0 if sign1 == 1 else 1
-            record = RoundRecord(index, sign1, sign2, "agreed", bit, bit)
+            record = RoundRecord(index, sign1, sign2, "agreed", bit)
             entry = (None, bit, (record, record))
         else:
             spec = self.specs[0 if sign1 == 1 else 1]
@@ -364,15 +345,14 @@ class _Run:
                 )
             if req1 is None and req2 is None:
                 cheater, request = None, None
-                winner, win = spec.preferred_value_alice, HALF
+                winner, win = flip_law(spec)
             else:
                 cheater = 1 if req1 is not None else 2
                 request = req1 if req1 is not None else req2
                 role = "alice" if cheater == 1 else "bob"
-                winner = spec.winning_value(role)
-                win = cheater_win_probability(spec, CheaterRequest(request))
+                winner, win = flip_law(spec, role, CheaterRequest(request))
             entry = (win, winner, tuple(
-                RoundRecord(index, sign1, sign2, "coin", b, b, cheater, request) for b in (0, 1)
+                RoundRecord(index, sign1, sign2, "coin", b, cheater, request) for b in (0, 1)
             ))
         self.nodes[h] = entry
         return entry
@@ -387,7 +367,7 @@ class _Run:
         for depth in range(self.k):
             entry = nodes.get(h)
             if entry is None:
-                entry = self.decide(index_to_bits(h - (1 << depth), depth))
+                entry = self.decide(h, depth)
             win, bit, settled = entry
             if win is not None:
                 bit = bit if randomness.bernoulli(win) else 1 - bit
@@ -426,28 +406,20 @@ def _bind(
     return _last_run
 
 
-def run_round(
-    index: int,
-    prefix: BitPrefix,
-    config: ProtocolConfig,
-    party1: PartyBehavior,
-    party2: PartyBehavior,
-    randomness: RandomStream,
-) -> RoundRecord:
-    """Settle one index bit: matching signs fix it, a mismatch flips for it.
+_last_ce: tuple | None = None
 
-    The parties must already be started; the run is bound to the game and
-    emulation that party 1 was started on.
+
+def _is_ce(game: Game, p: JointDistribution) -> bool:
+    """``check_ce(game, p)``, kept while both stay the same objects.
+
+    Keyed on ``p`` itself, not on the run binding, whose key leaves ``p``
+    out when an emulation is given.
     """
-    prefix = tuple(prefix)
-    if len(prefix) >= config.k:
-        raise ValueError("prefix must leave at least one undecided bit")
-    run = _bind(party1.game, None, config, party1, party2, party1.em)
-    win, bit, settled = run.decide(prefix)
-    if win is not None:
-        bit = bit if randomness.bernoulli(win) else 1 - bit
-    record = settled[bit]
-    return record if record.index == index else replace(record, index=index)
+    global _last_ce
+    last = _last_ce
+    if last is None or last[0] is not game or last[1] is not p:
+        last = _last_ce = (game, p, check_ce(game, p))
+    return last[2]
 
 
 def run_protocol(
@@ -461,27 +433,27 @@ def run_protocol(
     record_messages: bool = True,
     warn_not_ce: bool = True,
 ) -> Transcript:
-    """One full sampling run; returns the transcript with both outputs.
+    """One full sampling run; returns its transcript.
 
     The protocol happily samples any distribution, but its guarantees are
-    stated for correlated equilibria, so a non-CE input draws a warning.
+    stated for correlated equilibria, so a non-CE input draws a warning on
+    every call.  The check itself runs once per (game, p) pair of objects.
     """
-    if warn_not_ce and not check_ce(game, p):
+    if warn_not_ce and not _is_ce(game, p):
         warnings.warn("input distribution is not a correlated equilibrium", stacklevel=2)
     run = _bind(game, p, config, party1, party2, em)
     records: list[RoundRecord] = []
     leaf = run.walk(randomness, records)
-    output = run.em.table[leaf]
-    ell = tuple([rec.c1 for rec in records])
+    ell = tuple([rec.bit for rec in records])
 
-    transcript = Transcript(config, records, ell, output, output)
+    transcript = Transcript(config, records, ell, run.em.table[leaf])
     if record_messages:
         for rec in records:
             transcript.messages.append(Message("preference", 1, rec.index, rec.sign1))
             transcript.messages.append(Message("preference", 2, rec.index, rec.sign2))
             if rec.resolution == "coin":
-                transcript.messages.append(Message("coin_result", 1, rec.index, rec.c1))
-                transcript.messages.append(Message("coin_result", 2, rec.index, rec.c2))
+                transcript.messages.append(Message("coin_result", 1, rec.index, rec.bit))
+                transcript.messages.append(Message("coin_result", 2, rec.index, rec.bit))
     return transcript
 
 

@@ -1,4 +1,4 @@
-"""File formats: games, distributions, emulation dumps, transcripts, reports.
+"""File formats: games, distributions, party scripts, emulation dumps, transcripts, reports.
 
 All rationals travel as strings ("1/2", "0.25", "3") so nothing is ever
 rounded on the way to disk; floats appear only as read-only convenience
@@ -12,13 +12,14 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping
 
+from .coin_flip import CheaterRequest
 from .emulation import MultisetEmulation
 from .games import Game, JointDistribution, JointStrategy, as_fraction
-from .protocol import Transcript
+from .protocol import ScriptedParty, Transcript
 
 
 class GameFormatError(Exception):
-    """Base for all game/distribution file problems."""
+    """Base for all input file problems: games, distributions, party scripts."""
 
 
 class MissingFileError(GameFormatError):
@@ -149,6 +150,67 @@ def distribution_to_json(dist: JointDistribution) -> dict:
     }
 
 
+SCRIPT_FIELDS = ("announce", "win_request", "game_move", "check_move")
+
+
+def _sign(value: Any) -> int:
+    if str(value) not in ("1", "-1"):
+        raise ValueError(f"a sign must be 1 or -1, got {value!r}")
+    return int(value)
+
+
+def parse_script(
+    obj: Any, game: Game, player: int, k: int, where: str = "<script>"
+) -> ScriptedParty:
+    """Build seat ``player``'s scripted party from its JSON object form.
+
+    The schema is in the README.  Every value is checked here, also at
+    round-tree nodes that a run may never reach.
+    """
+    if not isinstance(obj, dict):
+        raise GameFormatError(f"{where}: a party script must be a JSON object")
+    for field in obj:
+        if field not in SCRIPT_FIELDS:
+            raise GameFormatError(
+                f"{where}: unknown field {field!r} (use {', '.join(SCRIPT_FIELDS)})"
+            )
+
+    def prefix_map(field: str, convert) -> dict:
+        raw = obj.get(field, {})
+        if not isinstance(raw, dict):
+            raise GameFormatError(f"{where}: field {field!r} must map prefixes to values")
+        out = {}
+        for key, value in raw.items():
+            if len(key) >= k or not set(key) <= {"0", "1"}:
+                raise GameFormatError(
+                    f"{where}: field {field!r} prefix {key!r} must be 0s and 1s"
+                    f" shorter than k = {k}"
+                )
+            try:
+                out[tuple(int(b) for b in key)] = convert(value)
+            except (ValueError, TypeError) as exc:
+                raise GameFormatError(f"{where}: field {field!r} prefix {key!r}: {exc}") from exc
+        return out
+
+    announce = prefix_map("announce", _sign)
+    win_request = prefix_map("win_request", lambda w: CheaterRequest(w).win_probability)
+    move = obj.get("game_move")
+    strategies = game.rows if player == 1 else game.cols
+    if move is not None and (type(move) is not int or not 0 <= move < strategies):
+        raise GameFormatError(
+            f"{where}: field 'game_move' must be a strategy index of player {player} "
+            f"(0 to {strategies - 1}), got {move!r}"
+        )
+    check = obj.get("check_move")
+    if check is not None and check not in ("A", "R"):
+        raise GameFormatError(f"{where}: field 'check_move' must be \"A\" or \"R\", got {check!r}")
+    return ScriptedParty(announce, win_request, move, check)
+
+
+def parse_script_file(path: str | Path, game: Game, player: int, k: int) -> ScriptedParty:
+    return parse_script(_load_json(path), game, player, k, where=str(path))
+
+
 def emulation_to_json(em: MultisetEmulation) -> dict:
     return {
         "k": em.k,
@@ -159,6 +221,15 @@ def emulation_to_json(em: MultisetEmulation) -> dict:
 def fraction_field(value: Fraction) -> dict:
     """Exact string plus a float convenience; exactness lives in the string."""
     return {"exact": str(value), "float": float(value)}
+
+
+def bit_string(bits) -> str:
+    return "".join(str(b) for b in bits)
+
+
+def bit_keyed_json(mapping: Mapping) -> dict:
+    """A mapping keyed by bit tuples, as bit strings to exact value strings."""
+    return {bit_string(bits): str(value) for bits, value in sorted(mapping.items())}
 
 
 def transcript_records(transcript: Transcript) -> list[dict]:
@@ -174,12 +245,8 @@ def transcript_records(transcript: Transcript) -> list[dict]:
     ]
     summary: dict[str, Any] = {
         "kind": "summary",
-        "ell": "".join(str(b) for b in transcript.ell),
-        "output": (
-            f"{transcript.output.s1},{transcript.output.s2}"
-            if transcript.output is not None
-            else None
-        ),
+        "ell": bit_string(transcript.ell),
+        "output": f"{transcript.output.s1},{transcript.output.s2}",
     }
     if transcript.payoffs is not None:
         summary["payoffs"] = [str(v) for v in transcript.payoffs]

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from ce_sampler import cli
 from ce_sampler.cli import _chunk_bounds, _worker_count, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -115,6 +116,66 @@ class TestRun:
             "--seed", "1", "--party1", "sneaky",
         ) == 2
         assert "sneaky" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "script, field, seats",
+    [
+        ({"game_move": 7}, "game_move", (1,)),
+        ({"game_move": 7, "check_move": "A"}, "game_move", (1, 2)),
+        ({"game_move": "1"}, "game_move", (2,)),
+        ({"announce": {"": 2}}, "announce", (1,)),
+        ({"check_move": "maybe"}, "check_move", (1,)),
+        ([{"game_move": 0}], "JSON object", (1,)),
+        ({"win_request": {"11": "3/2"}}, "win_request", (1,)),
+        ({"win_request": {"": "lots"}}, "win_request", (2,)),
+        ({"announce": {"0101": 1}}, "announce", (1,)),
+        ({"announce": {"2": 1}}, "announce", (1,)),
+        ({"announce": [1]}, "announce", (1,)),
+        ({"anounce": {"": 1}}, "anounce", (1,)),
+        (None, "no such file", (1,)),
+    ],
+    ids=[
+        "move-out-of-range", "move-both-seats", "move-not-int", "sign", "check", "list",
+        "request-above-one", "request-not-rational", "prefix-too-long", "prefix-not-bits",
+        "prefix-map-not-object", "unknown-field", "missing-file",
+    ],
+)
+def test_bad_script_is_rejected_before_any_trial(
+    script, field, seats, tmp_path, monkeypatch, capsys
+):
+    def no_trials(payload):
+        raise AssertionError("a trial ran before the script was checked")
+
+    monkeypatch.setattr(cli, "_trial_chunk", no_trials)
+    path = tmp_path / "f.json"
+    if script is not None:
+        path.write_text(json.dumps(script))
+    argv = ["play", "--game", BOS, "--objective", "max-fair", "--trials", "20", "--seed", "1",
+            "--report", str(tmp_path / "r.json")]
+    for seat in seats:
+        argv += [f"--party{seat}", f"script:{path}"]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert str(path) in captured.err and field in captured.err
+    assert captured.out == ""
+
+
+def test_script_overrides_every_field(tmp_path):
+    script = tmp_path / "all.json"
+    script.write_text(json.dumps({
+        "announce": {"": "-1", "01": 1},
+        "win_request": {"": "1/2"},
+        "game_move": 1,
+        "check_move": "R",
+    }))
+    out = tmp_path / "play.json"
+    assert run_cli(
+        "play", "--game", BOS, "--objective", "max-fair", "--trials", "20", "--seed", "2",
+        "--party1", f"script:{script}", "--report", str(out),
+    ) == 0
+    rows = json.loads(out.read_text())["per_trial"]
+    assert all(row["played"].startswith("1,") and row["checks"][0] == "R" for row in rows)
 
 
 class TestPlay:

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import ce_sampler.protocol as protocol
 from ce_sampler import (
     HonestParty,
     JointDistribution,
@@ -14,6 +15,7 @@ from ce_sampler import (
     ProtocolConfig,
     RandomStream,
     ScriptedParty,
+    check_ce,
     compute_preference,
     emulate,
     conditional_expected_utility,
@@ -21,8 +23,6 @@ from ce_sampler import (
     simulate_outputs,
 )
 from ce_sampler.analysis import honest_output_distribution, worst_case_adversary
-from ce_sampler.emulation import PreferenceOracle
-from ce_sampler.protocol import run_round
 from conftest import random_distribution, random_rational_game
 
 
@@ -80,49 +80,47 @@ class TestPreferences:
             assert compute_preference(em, bos, (), player) == expected
 
 
-class TestRunRound:
+class TestFirstRound:
+    """The first round of ``run_protocol``: agreement fixes the bit, a mismatch flips for it."""
+
     @pytest.fixture
-    def bound_parties(self, bos, bos_fair_ce):
-        def bind(party1, party2):
-            em = emulate(bos, bos_fair_ce, F(1, 2))
-            config = ProtocolConfig(F(1, 10), F(1, 2), em.k)
-            oracle = PreferenceOracle(em, bos)
-            party1.start(bos, em, config, 1, oracle)
-            party2.start(bos, em, config, 2, oracle)
-            return config
+    def first_round(self, bos, bos_fair_ce):
+        em = emulate(bos, bos_fair_ce, F(1, 2))
+        config = ProtocolConfig(F(1, 10), F(1, 2), em.k)
 
-        return bind
+        def first(party1, party2, randomness):
+            transcript = run_protocol(
+                bos, bos_fair_ce, config, party1, party2, randomness,
+                em=em, record_messages=False, warn_not_ce=False,
+            )
+            return transcript.rounds[0]
 
-    def test_matching_positive_signs_fix_zero(self, bound_parties):
+        return first
+
+    def test_matching_positive_signs_fix_zero(self, first_round):
         p1 = ScriptedParty(announce={(): 1})
         p2 = ScriptedParty(announce={(): 1})
-        config = bound_parties(p1, p2)
-        record = run_round(1, (), config, p1, p2, RandomStream(0))
-        assert (record.resolution, record.c1, record.c2) == ("agreed", 0, 0)
+        record = first_round(p1, p2, RandomStream(0))
+        assert (record.index, record.resolution, record.bit) == (1, "agreed", 0)
 
-    def test_matching_negative_signs_fix_one(self, bound_parties):
+    def test_matching_negative_signs_fix_one(self, first_round):
         p1 = ScriptedParty(announce={(): -1})
         p2 = ScriptedParty(announce={(): -1})
-        config = bound_parties(p1, p2)
-        record = run_round(1, (), config, p1, p2, RandomStream(0))
-        assert (record.resolution, record.c1, record.c2) == ("agreed", 1, 1)
+        record = first_round(p1, p2, RandomStream(0))
+        assert (record.index, record.resolution, record.bit) == (1, "agreed", 1)
 
-    def test_disagreement_flips_fairly(self, bound_parties):
+    def test_disagreement_flips_fairly(self, first_round):
         p1 = HonestParty()
         p2 = HonestParty()
-        config = bound_parties(p1, p2)
-        outcomes = {
-            run_round(1, (), config, p1, p2, RandomStream(0).child(i)).c1
-            for i in range(40)
-        }
-        assert outcomes == {0, 1}
+        records = [first_round(p1, p2, RandomStream(0).child(i)) for i in range(40)]
+        assert {r.resolution for r in records} == {"coin"}
+        assert {r.bit for r in records} == {0, 1}
 
-    def test_both_cheaters_rejected(self, bound_parties):
+    def test_both_cheaters_rejected(self, first_round):
         p1 = ScriptedParty(win_request={(): F(1, 2)})
         p2 = ScriptedParty(win_request={(): F(1, 2)})
-        config = bound_parties(p1, p2)
         with pytest.raises(RuntimeError):
-            run_round(1, (), config, p1, p2, RandomStream(0))
+            first_round(p1, p2, RandomStream(0))
 
 
 class TestRunProtocol:
@@ -164,7 +162,7 @@ class TestRunProtocol:
             bos, bos_fair_ce, config, HonestParty(), HonestParty(), RandomStream(2)
         )
         assert len(transcript.rounds) == config.k
-        assert transcript.output_1 == transcript.output_2 == em.table[
+        assert transcript.output == em.table[
             sum(b << (em.k - 1 - i) for i, b in enumerate(transcript.ell))
         ]
         preference_messages = [m for m in transcript.messages if m.kind == "preference"]
@@ -185,6 +183,30 @@ class TestRunProtocol:
         config = ProtocolConfig.plan(bos, F(1, 10), F(1, 2))
         with pytest.warns(UserWarning):
             run_protocol(bos, lopsided, config, HonestParty(), HonestParty(), RandomStream(0))
+
+    def test_ce_check_runs_once_per_distribution(self, bos, monkeypatch):
+        # The emulation is given, so the run binding does not see ``p``;
+        # the verdict is still kept per ``p`` object, and every call warns.
+        checked = []
+
+        def counting_check_ce(game, p):
+            checked.append(p)
+            return check_ce(game, p)
+
+        monkeypatch.setattr(protocol, "check_ce", counting_check_ce)
+        lopsided = JointDistribution.point_mass(JointStrategy(0, 1))
+        config = ProtocolConfig.plan(bos, F(1, 10), F(1, 2))
+        em = emulate(bos, lopsided, config.delta)
+        parties = (HonestParty(), HonestParty())
+        for t in range(3):
+            with pytest.warns(UserWarning):
+                run_protocol(bos, lopsided, config, *parties, RandomStream(t), em=em)
+        assert len(checked) == 1 and checked[0] is lopsided
+        again = JointDistribution.point_mass(JointStrategy(0, 1))
+        for t in range(2):
+            with pytest.warns(UserWarning):
+                run_protocol(bos, again, config, *parties, RandomStream(t), em=em)
+        assert len(checked) == 2 and checked[1] is again
 
     def test_agreed_rounds_improve_both_players(self):
         # Wherever the honest parties agree, the chosen branch must be

@@ -8,11 +8,11 @@ from ce_sampler import (
     CheaterRequest,
     RandomStream,
     WcfSpec,
+    flip_law,
     outcome_distribution,
     run_honest,
     run_with_cheater,
 )
-from ce_sampler.coin_flip import cheater_win_probability
 
 
 class TestRandomStream:
@@ -54,20 +54,20 @@ class TestHonestFlip:
         spec = WcfSpec(preferred_value_alice=0, bias=F(1, 10))
         stream = RandomStream(5)
         n = 20_000
-        zeros = sum(run_honest(spec, stream).resolved == 0 for _ in range(n))
+        zeros = sum(run_honest(spec, stream) == 0 for _ in range(n))
         assert abs(zeros / n - 0.5) < 0.02
 
     def test_honest_path_ignores_bias(self):
-        outcomes_low = [run_honest(WcfSpec(0, F(0)), RandomStream(8).child(i)).resolved for i in range(200)]
-        outcomes_high = [run_honest(WcfSpec(0, F(2, 5)), RandomStream(8).child(i)).resolved for i in range(200)]
+        outcomes_low = [run_honest(WcfSpec(0, F(0)), RandomStream(8).child(i)) for i in range(200)]
+        outcomes_high = [run_honest(WcfSpec(0, F(2, 5)), RandomStream(8).child(i)) for i in range(200)]
         assert outcomes_low == outcomes_high
 
     def test_win_indicator_independent_of_preferred_value(self):
         # The same randomness decides "does Alice win"; the output bit
         # then follows her preferred value.
         for i in range(50):
-            got_zero = run_honest(WcfSpec(0, F(0)), RandomStream(3).child(i)).resolved
-            got_one = run_honest(WcfSpec(1, F(0)), RandomStream(3).child(i)).resolved
+            got_zero = run_honest(WcfSpec(0, F(0)), RandomStream(3).child(i))
+            got_one = run_honest(WcfSpec(1, F(0)), RandomStream(3).child(i))
             assert got_zero == 1 - got_one
 
     def test_reproducible_given_seed(self):
@@ -77,17 +77,15 @@ class TestHonestFlip:
     def test_never_unresolved(self):
         spec = WcfSpec(0, F(1, 8))
         for i in range(100):
-            outcome = run_honest(spec, RandomStream(4).child(i))
-            assert outcome.resolved is not None
-            assert outcome.c_alice == outcome.c_bob
+            assert run_honest(spec, RandomStream(4).child(i)) in (0, 1)
 
 
 class TestCheatingFlip:
     def test_win_probability_is_clamped_request(self):
         spec = WcfSpec(preferred_value_alice=0, bias=F(1, 10))
         for w in (F(0), F(1, 4), F(1, 2), F(3, 5), F(1)):
-            granted = cheater_win_probability(spec, CheaterRequest(w))
-            assert granted == min(w, F(1, 2) + F(1, 10))
+            bit, granted = flip_law(spec, "alice", CheaterRequest(w))
+            assert (bit, granted) == (0, min(w, F(1, 2) + F(1, 10)))
             dist = outcome_distribution(spec, "alice", CheaterRequest(w))
             assert dist[0] == granted and dist[1] == 1 - granted
 
@@ -105,7 +103,7 @@ class TestCheatingFlip:
         spec = WcfSpec(0, F(1, 10))
         for i in range(50):
             outcome = run_with_cheater(spec, "alice", CheaterRequest(F(0)), RandomStream(6).child(i))
-            assert outcome.resolved == 1  # Alice's losing value
+            assert outcome == 1  # Alice's losing value
 
     def test_empirical_matches_exact_distribution(self):
         spec = WcfSpec(1, F(1, 8))
@@ -114,16 +112,25 @@ class TestCheatingFlip:
         n = 20_000
         root = RandomStream(77)
         zeros = sum(
-            run_with_cheater(spec, "bob", request, root.child(i)).resolved == 0
+            run_with_cheater(spec, "bob", request, root.child(i)) == 0
             for i in range(n)
         )
         assert abs(zeros / n - float(exact[0])) < 0.02
 
-    def test_outputs_always_agree(self):
-        spec = WcfSpec(0, F(1, 10))
-        for i in range(50):
-            outcome = run_with_cheater(spec, "bob", CheaterRequest(F(1, 3)), RandomStream(9).child(i))
-            assert outcome.c_alice == outcome.c_bob
+    @pytest.mark.parametrize("preferred", [0, 1])
+    @pytest.mark.parametrize("role", ["alice", "bob"])
+    def test_law_matches_outcome_distribution(self, preferred, role):
+        spec = WcfSpec(preferred, F(1, 10))
+        wins_on = preferred if role == "alice" else 1 - preferred
+        assert flip_law(spec) == (preferred, F(1, 2))
+        for w in (F(0), F(1, 3), F(3, 5), F(1)):
+            request = CheaterRequest(w)
+            granted = min(w, F(3, 5))
+            assert flip_law(spec, role, request) == (wins_on, granted)
+            assert outcome_distribution(spec, role, request) == {
+                wins_on: granted,
+                1 - wins_on: 1 - granted,
+            }
 
 
 class TestValidation:

@@ -112,10 +112,9 @@ class TestTranscriptLog:
         config = ProtocolConfig(F(1, 10), F(1, 2), 1)
         transcript = Transcript(
             config=config,
-            rounds=[RoundRecord(1, 1, -1, "coin", 0, 0, None, None)],
+            rounds=[RoundRecord(1, 1, -1, "coin", 0, None, None)],
             ell=(0,),
-            output_1=JointStrategy(0, 0),
-            output_2=JointStrategy(0, 0),
+            output=JointStrategy(0, 0),
             messages=[Message("preference", 1, 1, 1), Message("preference", 2, 1, -1)],
             payoffs=(F(4), F(2)),
         )

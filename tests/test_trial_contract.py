@@ -77,7 +77,7 @@ def _opponent(kind, label, game, em, config):
 def _outcome_key(outcome) -> tuple:
     transcript = outcome.transcript
     rounds = tuple(
-        (r.index, r.sign1, r.sign2, r.resolution, r.c1, r.c2, r.cheater, str(r.win_request))
+        (r.index, r.sign1, r.sign2, r.resolution, r.bit, r.bit, r.cheater, str(r.win_request))
         for r in transcript.rounds
     )
     return (
