@@ -131,7 +131,6 @@ class Transcript:
     ``output`` is the profile both parties output: the table entry at ``ell``.
     """
 
-    config: ProtocolConfig
     rounds: list[RoundRecord]
     ell: BitPrefix
     output: JointStrategy
@@ -247,12 +246,25 @@ class PolicyParty(PartyBehavior):
         return self._w(prefix)
 
 
+def _show_prefix(prefix) -> str:
+    return repr("".join(str(b) for b in prefix))
+
+
+def _script_sign(value) -> PreferenceSign:
+    if str(value) not in ("1", "-1"):
+        raise ValueError(f"a sign must be 1 or -1, got {value!r}")
+    return int(value)
+
+
 class ScriptedParty(PartyBehavior):
     """Behavior overridden pointwise from a script; honest where silent.
 
-    ``announce``: prefix -> sign; ``win_request``: prefix -> probability;
-    ``move``: strategy index to play instead of the suggestion;
-    ``check``: a fixed "A" or "R".
+    ``announce``: prefix -> sign (1 or -1); ``win_request``: prefix ->
+    probability in [0, 1]; ``move``: strategy index to play instead of the
+    suggestion; ``check``: a fixed "A" or "R".  Bad values raise
+    ``ValueError`` here; a move or prefix that does not fit the run's seat
+    and round count raises it in :meth:`check_seat`, which ``start`` calls.
+    Messages name the script field (as in a party script file).
     """
 
     def __init__(
@@ -262,10 +274,50 @@ class ScriptedParty(PartyBehavior):
         move: int | None = None,
         check: str | None = None,
     ):
-        self.script_announce = {tuple(k): v for k, v in (announce or {}).items()}
-        self.script_win = {tuple(k): as_fraction(v) for k, v in (win_request or {}).items()}
+        def convert(field: str, mapping, value_of) -> dict:
+            out = {}
+            for key, value in (mapping or {}).items():
+                prefix = tuple(key)
+                try:
+                    out[prefix] = value_of(value)
+                except (ValueError, TypeError) as exc:
+                    raise ValueError(
+                        f"field {field!r} prefix {_show_prefix(prefix)}: {exc}"
+                    ) from exc
+            return out
+
+        self.script_announce = convert("announce", announce, _script_sign)
+        self.script_win = convert(
+            "win_request", win_request, lambda w: CheaterRequest(w).win_probability
+        )
+        if move is not None and (type(move) is not int or move < 0):
+            raise ValueError(
+                f"field 'game_move' must be a strategy index (an int >= 0), got {move!r}"
+            )
+        if check not in (None, ACCEPT, REJECT):
+            raise ValueError(f"field 'check_move' must be \"A\" or \"R\", got {check!r}")
         self.script_move = move
         self.script_check = check
+
+    def check_seat(self, game: Game, player: int, k: int) -> None:
+        """Raise ``ValueError`` unless the script fits seat ``player`` of ``game`` at k rounds."""
+        for field, mapping in (("announce", self.script_announce), ("win_request", self.script_win)):
+            for prefix in mapping:
+                if len(prefix) >= k or not all(b in (0, 1) for b in prefix):
+                    raise ValueError(
+                        f"field {field!r} prefix {_show_prefix(prefix)} must be 0s and 1s"
+                        f" shorter than k = {k}"
+                    )
+        strategies = game.rows if player == 1 else game.cols
+        if self.script_move is not None and self.script_move >= strategies:
+            raise ValueError(
+                f"field 'game_move' must be a strategy index of player {player} "
+                f"(0 to {strategies - 1}), got {self.script_move!r}"
+            )
+
+    def start(self, game, em, config, player, oracle) -> None:
+        self.check_seat(game, player, config.k)
+        super().start(game, em, config, player, oracle)
 
     def announce(self, prefix: BitPrefix) -> PreferenceSign:
         override = self.script_announce.get(tuple(prefix))
@@ -446,7 +498,7 @@ def run_protocol(
     leaf = run.walk(randomness, records)
     ell = tuple([rec.bit for rec in records])
 
-    transcript = Transcript(config, records, ell, run.em.table[leaf])
+    transcript = Transcript(records, ell, run.em.table[leaf])
     if record_messages:
         for rec in records:
             transcript.messages.append(Message("preference", 1, rec.index, rec.sign1))

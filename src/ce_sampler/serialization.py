@@ -12,7 +12,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping
 
-from .coin_flip import CheaterRequest
 from .emulation import MultisetEmulation
 from .games import Game, JointDistribution, JointStrategy, as_fraction
 from .protocol import ScriptedParty, Transcript
@@ -153,19 +152,14 @@ def distribution_to_json(dist: JointDistribution) -> dict:
 SCRIPT_FIELDS = ("announce", "win_request", "game_move", "check_move")
 
 
-def _sign(value: Any) -> int:
-    if str(value) not in ("1", "-1"):
-        raise ValueError(f"a sign must be 1 or -1, got {value!r}")
-    return int(value)
-
-
 def parse_script(
     obj: Any, game: Game, player: int, k: int, where: str = "<script>"
 ) -> ScriptedParty:
     """Build seat ``player``'s scripted party from its JSON object form.
 
     The schema is in the README.  Every value is checked here, also at
-    round-tree nodes that a run may never reach.
+    round-tree nodes that a run may never reach: the JSON shape here,
+    the values by ``ScriptedParty`` and its ``check_seat``.
     """
     if not isinstance(obj, dict):
         raise GameFormatError(f"{where}: a party script must be a JSON object")
@@ -175,36 +169,23 @@ def parse_script(
                 f"{where}: unknown field {field!r} (use {', '.join(SCRIPT_FIELDS)})"
             )
 
-    def prefix_map(field: str, convert) -> dict:
+    def prefix_map(field: str) -> dict:
         raw = obj.get(field, {})
         if not isinstance(raw, dict):
             raise GameFormatError(f"{where}: field {field!r} must map prefixes to values")
-        out = {}
-        for key, value in raw.items():
-            if len(key) >= k or not set(key) <= {"0", "1"}:
-                raise GameFormatError(
-                    f"{where}: field {field!r} prefix {key!r} must be 0s and 1s"
-                    f" shorter than k = {k}"
-                )
-            try:
-                out[tuple(int(b) for b in key)] = convert(value)
-            except (ValueError, TypeError) as exc:
-                raise GameFormatError(f"{where}: field {field!r} prefix {key!r}: {exc}") from exc
-        return out
+        # A key becomes a bit tuple; any other character is kept for
+        # check_seat to reject by name.
+        return {tuple(int(b) if b in "01" else b for b in key): v for key, v in raw.items()}
 
-    announce = prefix_map("announce", _sign)
-    win_request = prefix_map("win_request", lambda w: CheaterRequest(w).win_probability)
-    move = obj.get("game_move")
-    strategies = game.rows if player == 1 else game.cols
-    if move is not None and (type(move) is not int or not 0 <= move < strategies):
-        raise GameFormatError(
-            f"{where}: field 'game_move' must be a strategy index of player {player} "
-            f"(0 to {strategies - 1}), got {move!r}"
+    try:
+        party = ScriptedParty(
+            prefix_map("announce"), prefix_map("win_request"),
+            obj.get("game_move"), obj.get("check_move"),
         )
-    check = obj.get("check_move")
-    if check is not None and check not in ("A", "R"):
-        raise GameFormatError(f"{where}: field 'check_move' must be \"A\" or \"R\", got {check!r}")
-    return ScriptedParty(announce, win_request, move, check)
+        party.check_seat(game, player, k)
+    except ValueError as exc:
+        raise GameFormatError(f"{where}: {exc}") from exc
+    return party
 
 
 def parse_script_file(path: str | Path, game: Game, player: int, k: int) -> ScriptedParty:

@@ -1,17 +1,21 @@
 """Exact-arithmetic linear programming via a two-phase simplex.
 
 The solver maximizes a linear objective over nonnegative rational
-variables subject to <=, >= and == constraints.  All pivoting is done on
-``fractions.Fraction`` values, and entering/leaving variables follow
-Bland's rule (lowest eligible index, lowest basis index on ratio ties),
-so every run terminates and identical inputs produce identical output —
-the two properties the equilibrium layer depends on.
+variables subject to <=, >= and == constraints.  Entering and leaving
+variables follow Bland's rule (lowest eligible index, lowest basis index
+on ratio ties), so every run terminates and identical inputs produce
+identical output — the two properties the equilibrium layer depends on.
 
-The tableau is stored densely, but a pivot updates only the columns where
-the normalized pivot row is nonzero, which on 3×3 CE polytopes is about a
-quarter of the row.  :func:`simplex_sequence` optimizes a sequence of objectives
-on one tableau: phase 1 runs once, and each later objective starts from
-the previous optimal basis.  In a lexicographic sequence each step is
+The tableau holds Python ints over one common denominator and pivots
+with integer-preserving (fraction-free) elimination (Edmonds 1967;
+Bareiss 1968), so no ``fractions.Fraction`` is built while pivoting.
+Every pivoting decision reads the sign of an int or compares two
+cross-multiplied ratios, which are the decisions the rational tableau
+makes, so the pivot path is the one a ``Fraction`` tableau takes.
+Fractions appear only in the returned vertices and values.
+:func:`simplex_sequence` optimizes a sequence of objectives on one
+tableau: phase 1 runs once, and each later objective starts from the
+previous optimal basis.  In a lexicographic sequence each step is
 restricted to the optimal face of the steps before it (Isermann 1982,
 "Linear lexicographic optimization") by banning from entry every column
 whose reduced cost was positive at an earlier optimum.
@@ -19,6 +23,7 @@ whose reduced cost was positive at an earlier optimum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -46,7 +51,10 @@ class Constraint:
     def __post_init__(self) -> None:
         if self.relation not in _RELATIONS:
             raise ValueError(f"relation must be one of {_RELATIONS}")
-        object.__setattr__(self, "coeffs", tuple(as_fraction(c) for c in self.coeffs))
+        # Built from a list, the tuple is allocated at its final size; one
+        # built from a generator is resized, and freed ones then pile up in
+        # CPython's tuple free lists until a full collection.
+        object.__setattr__(self, "coeffs", tuple([as_fraction(c) for c in self.coeffs]))
         object.__setattr__(self, "rhs", as_fraction(self.rhs))
 
 
@@ -91,107 +99,134 @@ def _is_implied_nonnegativity(con: Constraint) -> bool:
     return (con.relation == GE and c > 0) or (con.relation == LE and c < 0)
 
 
+def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers proportional to ``values``, and the positive factor applied."""
+    scale = 1
+    for v in values:  # pairwise: lcm(*generator) would strand a resized tuple per row
+        scale = math.lcm(scale, v.denominator)
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 class _Tableau:
+    """A simplex tableau of ints over one common denominator ``det`` > 0.
+
+    Row i stands for the rational row ``matrix[i] / det`` with right-hand
+    side ``rhs[i] / det``.  A pivot keeps every entry an int: each other
+    row becomes ``(p * a_ij - a_ic * a_rj) // det``, an exact division,
+    and ``det`` becomes the pivot p (Edmonds 1967; Bareiss 1968).  The
+    division is exact because every entry is then a minor of the starting
+    integer matrix, whose basis columns form the identity; so each row is
+    scaled by the lcm of its own denominators, and its artificial keeps
+    coefficient 1 (artificial i measures ``scales[i]`` times the
+    artificial of the unscaled row).
+    """
+
     def __init__(self, constraints: Sequence[Constraint], n_vars: int):
         rows = [c for c in constraints if not _is_implied_nonnegativity(c)]
         self.n = n_vars
         slack_rows = [i for i, c in enumerate(rows) if c.relation != EQ]
         self.n_slack = len(slack_rows)
         m = len(rows)
-        width = self.n + self.n_slack + m  # structural + slack + artificial
-        self.width = width
-        self.matrix: list[list[Fraction]] = []
-        self.rhs: list[Fraction] = []
+        self.first_artificial = self.n + self.n_slack
+        self.width = self.first_artificial + m  # structural + slack + artificial
+        self.det = 1
+        self.matrix: list[list[int]] = []
+        self.rhs: list[int] = []
         self.basis: list[int] = []
+        self.scales: list[int] = []
 
         slack_col = {row: self.n + j for j, row in enumerate(slack_rows)}
         for i, con in enumerate(rows):
-            line = list(con.coeffs) + [ZERO] * (self.n_slack + m)
+            ints, scale = _scaled(con.coeffs + (con.rhs,))
+            b = ints.pop()
+            line = ints + [0] * (self.n_slack + m)
             if con.relation == LE:
-                line[slack_col[i]] = Fraction(1)
+                line[slack_col[i]] = scale
             elif con.relation == GE:
-                line[slack_col[i]] = Fraction(-1)
-            b = con.rhs
+                line[slack_col[i]] = -scale
             if b < 0:
                 line = [-v for v in line]
                 b = -b
-            art = self.n + self.n_slack + i
-            line[art] = Fraction(1)
+            art = self.first_artificial + i
+            line[art] = 1
             self.matrix.append(line)
             self.rhs.append(b)
             self.basis.append(art)
-        self.first_artificial = self.n + self.n_slack
+            self.scales.append(scale)
 
-    def _objective_row(self, cost: list[Fraction]) -> list[Fraction]:
-        # reduced costs z_j - c_j for the current basis
-        z = [ZERO] * self.width
+    def _objective_row(self, cost: list[int]) -> list[int]:
+        # det times the reduced costs z_j - c_j of the current basis
+        z = [-self.det * c for c in cost]
         for i, b in enumerate(self.basis):
             cb = cost[b]
             if cb:
-                row = self.matrix[i]
-                for j in range(self.width):
-                    if row[j]:
-                        z[j] += cb * row[j]
-        return [z[j] - cost[j] for j in range(self.width)]
+                z = [zj + cb * v for zj, v in zip(z, self.matrix[i])]
+        return z
 
-    def _pivot(self, row: int, col: int, zrow: list[Fraction]) -> None:
+    def _pivot(self, row: int, col: int, zrow: list[int] | None = None) -> None:
         line = self.matrix[row]
-        pivot = line[col]
-        if pivot != 1:
-            inv = 1 / pivot
-            line = [v * inv if v else v for v in line]
-            self.matrix[row] = line
-            self.rhs[row] *= inv
-        # Subtracting a multiple of a zero entry changes nothing, so only
-        # the nonzero columns of the pivot row are updated.
-        support = [(j, v) for j, v in enumerate(line) if v]
+        p = line[col]
+        if p < 0:
+            # Only a drive-out pivot can be negative.  Negating the pivot row
+            # first yields the pivoted tableau times -1, so det = -p > 0.
+            line = self.matrix[row] = [-v for v in line]
+            self.rhs[row] = -self.rhs[row]
+            p = -p
+        det = self.det
         b = self.rhs[row]
         for i, other in enumerate(self.matrix):
-            factor = other[col]
-            if factor and i != row:
-                for j, v in support:
-                    other[j] -= factor * v
-                self.rhs[i] -= factor * b
-        factor = zrow[col]
-        if factor:
-            for j, v in support:
-                zrow[j] -= factor * v
+            if i == row:
+                continue
+            f = other[col]
+            if f:
+                self.matrix[i] = [(p * v - f * w) // det for v, w in zip(other, line)]
+                self.rhs[i] = (p * self.rhs[i] - f * b) // det
+            elif p != det:  # the row is unchanged but moves to the new det
+                self.matrix[i] = [p * v // det for v in other]
+                self.rhs[i] = p * self.rhs[i] // det
+        if zrow is not None:
+            f = zrow[col]
+            zrow[:] = [(p * v - f * w) // det for v, w in zip(zrow, line)]
+        self.det = p
         self.basis[row] = col
 
-    def run(self, cost: list[Fraction], columns: Sequence[int]) -> list[Fraction]:
+    def run(self, cost: list[int], columns: Sequence[int]) -> list[int]:
         """Bland-rule simplex entering only ``columns`` (ascending).
 
-        Returns the reduced-cost row of the optimal basis.
+        ``cost`` is a positive multiple of the objective.  Returns a
+        positive multiple of the reduced-cost row of the optimal basis.
         """
         zrow = self._objective_row(cost)
         while True:
             entering = next((j for j in columns if zrow[j] < 0), None)
             if entering is None:
                 return zrow
-            best_row, best_ratio = None, None
+            # Minimum ratio rhs/coeff, ties to the lowest basis index.  det
+            # cancels and coefficients are positive, so cross-multiply.
+            best_row = None
             for i, line in enumerate(self.matrix):
                 coeff = line[entering]
-                if coeff > 0:
-                    ratio = self.rhs[i] / coeff
-                    key = (ratio, self.basis[i])
-                    if best_ratio is None or key < best_ratio:
-                        best_ratio, best_row = key, i
+                if coeff <= 0:
+                    continue
+                if best_row is not None:
+                    lhs, rhs = self.rhs[i] * best_coeff, self.rhs[best_row] * coeff
+                    if lhs > rhs or (lhs == rhs and self.basis[i] > self.basis[best_row]):
+                        continue
+                best_row, best_coeff = i, coeff
             if best_row is None:
                 raise LpUnboundedError(f"column {entering} has no blocking row")
             self._pivot(best_row, entering, zrow)
 
-    def value(self, cost: list[Fraction]) -> Fraction:
-        total = ZERO
-        for i, b in enumerate(self.basis):
-            if cost[b]:
-                total += cost[b] * self.rhs[i]
-        return total
+    def value(self, cost: list[int], scale: int) -> Fraction:
+        """The objective ``cost / scale`` at the current basis."""
+        total = sum(cost[b] * self.rhs[i] for i, b in enumerate(self.basis))
+        return Fraction(total, self.det * scale)
 
     def point(self) -> tuple[Fraction, ...]:
         x = [ZERO] * self.n
         for i, b in enumerate(self.basis):
             if b < self.n:
-                x[b] = self.rhs[i]
+                x[b] = Fraction(self.rhs[i], self.det)
         return tuple(x)
 
     def drive_out_artificials(self) -> None:
@@ -199,13 +234,12 @@ class _Tableau:
         row = 0
         while row < len(self.matrix):
             if self.basis[row] >= limit:
-                col = next((j for j in range(limit) if self.matrix[row][j] != 0), None)
+                col = next((j for j in range(limit) if self.matrix[row][j]), None)
                 if col is None:
                     # redundant constraint row
                     del self.matrix[row], self.rhs[row], self.basis[row]
                     continue
-                dummy = [ZERO] * self.width
-                self._pivot(row, col, dummy)
+                self._pivot(row, col)
             row += 1
 
 
@@ -225,28 +259,34 @@ def simplex_sequence(
 
     Returns one optimal vertex and value per step.  Raises
     :class:`LpInfeasibleError` / :class:`LpUnboundedError` when the
-    constraints have no solution or a step has no finite optimum.
+    constraints have no solution or a step has no finite optimum, and
+    :class:`ValueError` when ``objectives`` is empty or a width differs.
     """
-    costs = [LpProblem(objective, tuple(constraints)).objective for objective in objectives]
-    n = len(costs[0])
-    if any(len(cost) != n for cost in costs):
+    if not objectives:
+        raise ValueError("objectives must hold at least one objective")
+    costs = [_scaled([as_fraction(c) for c in objective]) for objective in objectives]
+    n = len(costs[0][0])
+    if any(len(cost) != n for cost, _ in costs):
         raise ValueError("objective lengths differ")
+    if any(len(con.coeffs) != n for con in constraints):
+        raise ValueError("constraint width does not match objective length")
     tab = _Tableau(constraints, n)
 
-    phase1_cost = [ZERO] * tab.width
-    for j in range(tab.first_artificial, tab.width):
-        phase1_cost[j] = Fraction(-1)
+    # Artificial i carries scales[i] times the unscaled artificial, so the
+    # cost -1/scales[i] makes phase 1 minimize the same sum.
+    phase1_scale = math.lcm(*tab.scales)
+    phase1_cost = [0] * tab.first_artificial + [-phase1_scale // s for s in tab.scales]
     tab.run(phase1_cost, range(tab.width))
-    if tab.value(phase1_cost) != 0:
+    if tab.value(phase1_cost, phase1_scale) != 0:
         raise LpInfeasibleError("artificial variables cannot be driven to zero")
     tab.drive_out_artificials()
 
     columns: Sequence[int] = range(tab.first_artificial)
     solutions = []
-    for objective in costs:
-        cost = list(objective) + [ZERO] * (tab.width - n)
+    for objective, scale in costs:
+        cost = objective + [0] * (tab.width - n)
         zrow = tab.run(cost, columns)
-        solutions.append(LpSolution(tab.point(), tab.value(cost)))
+        solutions.append(LpSolution(tab.point(), tab.value(cost, scale)))
         if lexicographic:
             # At an optimum every eligible reduced cost is >= 0; the optimal
             # face is where each column with a positive one is zero.

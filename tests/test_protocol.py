@@ -277,6 +277,50 @@ class TestBehaviors:
         assert abs(counts[(0, 0, 0)] / 4000 - 0.5) < 0.05
 
 
+class TestScriptedPartyValidation:
+    """Values a party script file may not hold are rejected in Python too."""
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            (dict(announce={(): 2}), "announce"),
+            (dict(announce={(0,): "up"}), "announce"),
+            (dict(win_request={(1,): F(3, 2)}), "win_request"),
+            (dict(win_request={(): "lots"}), "win_request"),
+            (dict(move=-1), "game_move"),
+            (dict(move="1"), "game_move"),
+            (dict(move=True), "game_move"),
+            (dict(check="maybe"), "check_move"),
+        ],
+        ids=["sign", "sign-word", "request-above-one", "request-not-rational",
+             "move-negative", "move-str", "move-bool", "check"],
+    )
+    def test_constructor_rejects(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            ScriptedParty(**kwargs)
+
+    def test_signs_may_be_strings(self):
+        assert ScriptedParty(announce={(): "-1"}).script_announce == {(): -1}
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            (dict(move=7, check="A"), "game_move"),
+            (dict(announce={(0, 1, 0): 1}), "announce"),
+            (dict(win_request={(2,): F(1, 2)}), "win_request"),
+        ],
+        ids=["move-out-of-range", "prefix-too-long", "prefix-not-bits"],
+    )
+    def test_run_rejects_a_script_that_does_not_fit(self, bos, bos_fair_ce, kwargs, field):
+        em = emulate(bos, bos_fair_ce, F(1, 2))
+        config = ProtocolConfig(F(1, 10), F(1, 2), em.k)
+        with pytest.raises(ValueError, match=field):
+            run_protocol(
+                bos, bos_fair_ce, config, ScriptedParty(**kwargs), ScriptedParty(**kwargs),
+                RandomStream(3), em=em,
+            )
+
+
 class TestConfig:
     def test_plan_derives_round_count(self, bos):
         config = ProtocolConfig.plan(bos, F(1, 10), F(1, 2))

@@ -7,7 +7,7 @@ import pytest
 
 from ce_sampler import JointStrategy, emulate
 from ce_sampler.acceptance import bundled_game
-from ce_sampler.protocol import Message, ProtocolConfig, RoundRecord, Transcript
+from ce_sampler.protocol import Message, RoundRecord, Transcript
 from ce_sampler.serialization import (
     DimensionMismatchError,
     MalformedJsonError,
@@ -109,9 +109,7 @@ class TestEmulationDump:
 
 class TestTranscriptLog:
     def test_records(self):
-        config = ProtocolConfig(F(1, 10), F(1, 2), 1)
         transcript = Transcript(
-            config=config,
             rounds=[RoundRecord(1, 1, -1, "coin", 0, None, None)],
             ell=(0,),
             output=JointStrategy(0, 0),

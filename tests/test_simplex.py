@@ -22,6 +22,9 @@ from ce_sampler.simplex import (
 
 # SHA-256 of the vertices simplex_solve returns on 30 seeded CE LPs.
 CE_VERTEX_PATH = "3dff81639a6e3d53b288aa1698f9e0e8ebc8cf4256fa11ccfcb33f2aee752cd0"
+# SHA-256 of what simplex_sequence returns or raises, lexicographic and not,
+# on 40 seeded general LPs (see general_lp), taken with the Fraction tableau.
+GENERAL_LP_PATH = "41cc8c6dc4cfbe62cc4d60c6e82752506cdd07ffb0cfd83ea1012a485d48ce36"
 
 
 def lp(objective, rows):
@@ -86,6 +89,45 @@ def brute_force_max(problem: LpProblem) -> F:
     return best
 
 
+def general_lp(rng):
+    """A seeded LP that is feasible by construction unless a noise row breaks it.
+
+    Rows pass through a hidden point with mixed denominators, so right-hand
+    sides come out negative as well as positive; relations are GE, LE and
+    EQ; a redundant EQ row (a multiple of another) is often added; and the
+    bounding row is sometimes left out, so some steps are unbounded.
+    """
+    n = rng.randint(2, 4)
+
+    def frac(lo, hi):
+        return F(rng.randint(lo, hi), rng.choice((1, 2, 3, 5, 7)))
+
+    point = [frac(0, 3) for _ in range(n)]
+    rows = []
+    if rng.random() < 0.85:
+        rows.append(Constraint((F(1),) * n, LE, sum(point) + frac(0, 4)))
+    for _ in range(rng.randint(1, 4)):
+        coeffs = tuple(frac(-4, 5) for _ in range(n))
+        relation = rng.choice((LE, GE, EQ))
+        rhs = sum(c * x for c, x in zip(coeffs, point))
+        if relation != EQ:
+            gap = frac(0, 3)
+            rhs += gap if relation == LE else -gap
+        if rng.random() < 0.1:
+            rhs = frac(-4, 8)
+        rows.append(Constraint(coeffs, relation, rhs))
+    equalities = [row for row in rows if row.relation == EQ]
+    if equalities and rng.random() < 0.6:
+        base = rng.choice(equalities)
+        scale = frac(-3, 3) or F(-1)
+        rows.insert(
+            rng.randrange(len(rows) + 1),
+            Constraint(tuple(scale * c for c in base.coeffs), EQ, scale * base.rhs),
+        )
+    objectives = [tuple(frac(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+    return rows, objectives
+
+
 class TestWorkedProblems:
     def test_single_variable_box(self):
         problem = lp([1], [([1], LE, 1)])
@@ -126,6 +168,17 @@ class TestWorkedProblems:
         problem = lp([1, 0], [([0, 1], LE, 1)])
         with pytest.raises(LpUnboundedError):
             simplex_solve(problem)
+
+    def test_redundant_equality_row_is_dropped(self):
+        # 2x + 2y == 2 repeats x + y == 1, so after phase 1 one artificial
+        # stays basic in a row with no nonzero structural or slack entry.
+        problem = lp(
+            [1, F(1, 2), 1],
+            [([1, 1, 0], EQ, 1), ([2, 2, 0], EQ, 2), ([F(1, 3), 0, F(2, 7)], LE, F(5, 6))],
+        )
+        solution = simplex_solve(problem)
+        assert solution.values == (F(0), F(1), F(35, 12))
+        assert solution.objective_value == F(41, 12) == brute_force_max(problem)
 
     def test_implied_nonnegativity_rows_are_harmless(self):
         problem = lp([1], [([1], GE, 0), ([1], LE, 4)])
@@ -229,6 +282,25 @@ class TestPivotPath:
             digest.update(repr([str(v) for v in solution.values]).encode())
         assert digest.hexdigest() == CE_VERTEX_PATH
 
+    def test_general_lps_are_pinned(self):
+        """Vertices, values and error signals on general LPs follow the pivot path too."""
+        rng = random.Random(5003)
+        digest = hashlib.sha256()
+        seen = set()
+        for _ in range(40):
+            rows, objectives = general_lp(rng)
+            for lexicographic in (True, False):
+                try:
+                    steps = simplex_sequence(rows, objectives, lexicographic=lexicographic)
+                except (LpInfeasibleError, LpUnboundedError) as exc:
+                    outcome = type(exc).__name__
+                else:
+                    outcome = [([str(v) for v in s.values], str(s.objective_value)) for s in steps]
+                seen.add(outcome if isinstance(outcome, str) else "solved")
+                digest.update(repr(outcome).encode())
+        assert seen == {"solved", "LpInfeasibleError", "LpUnboundedError"}
+        assert digest.hexdigest() == GENERAL_LP_PATH
+
 
 class TestValidation:
     def test_relation_must_be_known(self):
@@ -236,5 +308,14 @@ class TestValidation:
             Constraint((F(1),), "<", F(0))
 
     def test_width_mismatch_rejected(self):
+        row = Constraint((F(1), F(2)), LE, F(1))
         with pytest.raises(ValueError):
-            LpProblem((F(1),), (Constraint((F(1), F(2)), LE, F(1)),))
+            LpProblem((F(1),), (row,))
+        with pytest.raises(ValueError, match="constraint width"):
+            simplex_sequence([row], [[1]])
+        with pytest.raises(ValueError, match="objective lengths"):
+            simplex_sequence([row], [[1, 0], [1]])
+
+    def test_empty_objectives_rejected(self):
+        with pytest.raises(ValueError, match="objectives"):
+            simplex_sequence([Constraint((F(1),), LE, F(1))], [])
