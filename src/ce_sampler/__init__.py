@@ -37,7 +37,6 @@ from .simplex import (
 from .emulation import (
     MultisetEmulation,
     PreferenceOracle,
-    conditional_expected_utility,
     emulate,
     l1_distance,
     marginal,
@@ -58,7 +57,6 @@ from .protocol import (
     ProtocolConfig,
     ScriptedParty,
     Transcript,
-    compute_preference,
     run_protocol,
     simulate_outputs,
 )
@@ -117,8 +115,6 @@ __all__ = [
     "check_ce",
     "check_mixed_ne",
     "check_pure_ne",
-    "compute_preference",
-    "conditional_expected_utility",
     "deviation_gain_bound_holds",
     "emulate",
     "expected_utility",

@@ -48,7 +48,7 @@ from .ce_solver import (
     solve_ce,
     total_payoff_vector,
 )
-from .emulation import MultisetEmulation, emulate, l1_distance, oracle_for
+from .emulation import MultisetEmulation, PreferenceOracle, emulate, l1_distance
 from .extended_game import augmented_normal_form, play_extended_game
 from .games import (
     ZERO,
@@ -396,7 +396,7 @@ def _replay_against_checker(case: BatteryCase, policy, dishonest: int) -> tuple[
     A trial is bad if it holds a false announcement and does not settle to
     (0, 0), or holds none and does not settle as suggested.
     """
-    oracle = oracle_for(case.em, case.game)
+    oracle = PreferenceOracle(case.em, case.game)
     honest = HonestParty()
     cheater = PolicyParty(policy)
     parties = (cheater, honest) if dishonest == 1 else (honest, cheater)

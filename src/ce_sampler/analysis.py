@@ -50,7 +50,7 @@ reachable endpoints, so exact backward induction computes worst cases
 outright.  The tree is held as level arrays in heap order: entry j of
 level m is the node ``index_to_bits(j, m)``, its children are entries 2j
 and 2j + 1 of level m + 1, and level k is the emulation table.
-Preferences come a level at a time from the oracle's cumulative sums.
+Preferences come a level at a time from the oracle's preference table.
 Two passes do all the work: a top-down pass carries mass to the leaves
 under one steering weight per node (honest play, or any policy), and a
 bottom-up pass runs the backward induction.
@@ -83,7 +83,7 @@ from typing import Literal, Mapping
 
 from .emulation import BitPrefix, MultisetEmulation, PreferenceOracle, bits_to_index
 from .games import ZERO, Game, expected_utility, normalize
-from .protocol import ProtocolConfig
+from .protocol import ProtocolConfig, check_policy, round_bias
 
 HALF = Fraction(1, 2)
 
@@ -347,16 +347,10 @@ class _Tree:
         self, policy: Mapping[BitPrefix, Fraction], dishonest: int, objective: str
     ) -> tuple[AdversaryOutcome, _Leaves]:
         honest = _check_players(dishonest)
+        policy = {tuple(prefix): Fraction(w) for prefix, w in policy.items()}
+        check_policy(policy, self.k)
         weights = [list(level) for level in self.honest_weights]
         for prefix, w in policy.items():
-            w = Fraction(w)
-            if not 0 <= w <= 1:
-                raise ValueError("steering probabilities must lie in [0, 1]")
-            prefix = tuple(prefix)
-            if len(prefix) >= self.k or any(b not in (0, 1) for b in prefix):
-                raise ValueError(
-                    f"policy prefix {prefix} is not an internal node of the {self.k}-round tree"
-                )
             weights[len(prefix)][bits_to_index(prefix)] = w
         leaves = self.leaves(weights, dishonest)
         max_own = objective == "max-own"
@@ -482,7 +476,7 @@ def verify_distance_bounds(
     """
     epsilon = Fraction(epsilon)
     k = em.k
-    bias = epsilon / (2 * k) if k else ZERO
+    bias = round_bias(epsilon, k)
     tree = _Tree(em, normalize(game))
     if policy is None:
         adv, q = tree.worst_case(bias, dishonest, power, "max-own")
@@ -601,7 +595,7 @@ def truthful_announcements_optimal(
     (0, 0); the ``checked`` power models the adversary σ faces.
     """
     epsilon = Fraction(epsilon)
-    bias = epsilon / (2 * em.k) if em.k else ZERO
+    bias = round_bias(epsilon, em.k)
     tree = _Tree(em, normalize(game))
     for dishonest in (1, 2):
         free, _ = tree.backward_induction(bias, dishonest, "unrestricted", "max-own")

@@ -229,11 +229,7 @@ def _prepare(args) -> tuple[Game, JointDistribution, MultisetEmulation, Protocol
 def _cmd_solve_ce(args) -> int:
     game = parse_game_file(args.game)
     dist = solve_ce(game, CeObjective.from_string(args.objective))
-    payload = distribution_to_json(dist)
-    if args.out:
-        write_json(args.out, payload)
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit_report(distribution_to_json(dist), args.out)
     return 0
 
 

@@ -131,6 +131,11 @@ class PreferenceOracle:
     payoffs are ints.  Prefix blocks at the same depth all have the same
     width, so comparing two integer block sums compares the branches; a
     ``Fraction`` is built only when a sum or an expectation is requested.
+
+    Each player's preferences form one table of preferred next bits, one
+    per internal node of the round tree in heap order (the root is 1, the
+    children of h are 2h and 2h + 1; entry 0 is unused).  It is built on
+    first use, and every preference query reads it.
     """
 
     def __init__(self, em: MultisetEmulation, game: Game):
@@ -140,8 +145,7 @@ class PreferenceOracle:
         self._scales: dict[int, int] = {}
         self._numerators: dict[int, dict[JointStrategy, int]] = {}
         self._cums: dict[int, list[int]] = {}
-        self._sign_memo: dict[tuple[int, BitPrefix], int] = {}
-        self._node_signs: dict[int, list[int]] = {}
+        self._tables: dict[int, list[int]] = {}
         cells = dict.fromkeys(em.table)
         for player in (1, 2):
             utilities = {cell: game.utility(player, cell) for cell in cells}
@@ -181,87 +185,42 @@ class PreferenceOracle:
         return Fraction(total, self._scales[player])
 
     def conditional_expected(self, player: int, prefix: BitPrefix, next_bit: int) -> Fraction:
+        """Average payoff over the table block selected by prefix + next_bit."""
         total, width = self._scaled_sum(player, tuple(prefix) + (next_bit,))
         return Fraction(total, self._scales[player] * width)
 
+    def preferred_table(self, player: int) -> list[int]:
+        """``player``'s preferred next bit at every internal node, in heap order.
+
+        The two children of a node cover equal-width blocks, so comparing
+        their integer sums compares the conditional expectations.  This is
+        the preference rule, and the only place it is written: ties prefer 0.
+        """
+        table = self._tables.get(player)
+        if table is None:
+            cums = self._cums[player]
+            table = [0]
+            for m in range(self.k):
+                half = 1 << (self.k - m - 1)
+                ends, mids = cums[:: 2 * half], cums[half :: 2 * half]
+                table.extend(
+                    0 if mid - lo >= hi - mid else 1 for lo, mid, hi in zip(ends, mids, ends[1:])
+                )
+            self._tables[player] = table
+        return table
+
     def preference(self, player: int, prefix: BitPrefix) -> int:
         """+1 when extending the prefix with 0 is weakly better, else -1."""
-        key = (player, tuple(prefix))
-        sign = self._sign_memo.get(key)
-        if sign is None:
-            zero, _ = self._scaled_sum(player, key[1] + (0,))
-            one, _ = self._scaled_sum(player, key[1] + (1,))
-            sign = 1 if _prefers_zero(zero, one) else -1
-            self._sign_memo[key] = sign
-        return sign
+        m = len(prefix)
+        if m >= self.k:
+            raise ValueError("prefix must leave at least one undecided bit")
+        return 1 - 2 * self.preferred_table(player)[(1 << m) | bits_to_index(prefix)]
 
     def preferred_bits(self, player: int, m: int) -> list[int]:
-        """Preferred next bit at every node of level ``m``, in heap order.
-
-        Entry j is ``preferred_bit(player, index_to_bits(j, m))``, read
-        straight off the cumulative sums without building prefixes.
-        """
+        """Preferred next bit at every node of level ``m``, in heap order."""
         if not 0 <= m < self.k:
             raise ValueError(f"level {m} is not internal to the {self.k}-round tree")
-        cums = self._cums[player]
-        half = 1 << (self.k - m - 1)
-        ends, mids = cums[:: 2 * half], cums[half :: 2 * half]
-        return [
-            0 if _prefers_zero(mid - lo, hi - mid) else 1
-            for lo, mid, hi in zip(ends, mids, ends[1:])
-        ]
-
-    def preferred_bit(self, player: int, prefix: BitPrefix) -> int:
-        return 0 if self.preference(player, prefix) == 1 else 1
-
-    def node_signs(self, player: int) -> list[int]:
-        """``player``'s preference sign at every internal node, in heap order.
-
-        Entry h is the sign at the node whose heap index is h (the root is
-        1, the children of h are 2h and 2h + 1); entry 0 is unused.  Built
-        once per player from the level arrays of ``preferred_bits``.
-        """
-        signs = self._node_signs.get(player)
-        if signs is None:
-            signs = [0]
-            for m in range(self.k):
-                signs.extend(1 if bit == 0 else -1 for bit in self.preferred_bits(player, m))
-            self._node_signs[player] = signs
-        return signs
-
-
-def _prefers_zero(zero_sum: int, one_sum: int) -> bool:
-    """The preference rule on two equal-width block sums: ties prefer 0."""
-    return zero_sum >= one_sum
-
-
-_last_oracle: PreferenceOracle | None = None
-
-
-def oracle_for(em: MultisetEmulation, game: Game) -> PreferenceOracle:
-    """The oracle over ``em`` and ``game``, built once while both stay the same objects.
-
-    Callers that query one table prefix by prefix, or run many trials on
-    it, share one O(2^k) build instead of paying it per call.
-    """
-    global _last_oracle
-    oracle = _last_oracle
-    if oracle is None or oracle.em is not em or oracle.game is not game:
-        oracle = _last_oracle = PreferenceOracle(em, game)
-    return oracle
-
-
-def conditional_expected_utility(
-    em: MultisetEmulation, game: Game, prefix: Sequence[int], next_bit: int, player: int
-) -> Fraction:
-    """Average payoff over the table block selected by prefix + next_bit.
-
-    Every block is fully populated by construction, so the average is
-    always defined.
-    """
-    if len(prefix) >= em.k:
-        raise ValueError("prefix must leave at least one undecided bit")
-    return oracle_for(em, game).conditional_expected(player, tuple(prefix), next_bit)
+        return self.preferred_table(player)[1 << m : 2 << m]
 
 
 # ---------------------------------------------------------------------------

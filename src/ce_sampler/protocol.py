@@ -21,12 +21,13 @@ any of these places; the channel itself is synchronous and lossless.
 
 Every announcement and coin request is a function of the game, the
 emulation table and the node of the 2^k round tree, so a run binds its
-game, emulation, config and two parties once and decides each node on
-its first visit.  A trial then walks k decided nodes and draws coins
-only where a flip settles the bit.  ``simulate_outputs`` and
-``run_protocol`` both go through that one binding, and consecutive calls
-with the very same objects reuse it; any other call rebinds and restarts
-both parties.
+game, distribution, emulation, config and two parties once and decides
+each node on its first visit.  A trial then walks k decided nodes and
+draws coins only where a flip settles the bit.  The run owns its
+preference oracle and its verdict on whether the distribution is a
+correlated equilibrium.  ``simulate_outputs`` and ``run_protocol`` both
+go through that one binding, and consecutive calls with the very same
+objects reuse it; any other call rebinds and restarts both parties.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .coin_flip import CheaterRequest, WcfSpec, flip_law
 from .emulation import (
@@ -44,7 +45,6 @@ from .emulation import (
     PreferenceOracle,
     emulate,
     index_to_bits,
-    oracle_for,
     rounds_for,
 )
 from .games import ZERO, Game, JointDistribution, JointStrategy, as_fraction, check_ce
@@ -56,22 +56,24 @@ REJECT = "R"
 PreferenceSign = int  # +1 prefers next bit 0, -1 prefers next bit 1
 
 
-def sign_for_bit(bit: int) -> PreferenceSign:
-    if bit not in (0, 1):
-        raise ValueError("bit must be 0 or 1")
-    return 1 if bit == 0 else -1
+def round_bias(epsilon: Fraction, k: int) -> Fraction:
+    """The per-round coin bias cap epsilon / (2k); zero when there are no rounds."""
+    return epsilon / (2 * k) if k else ZERO
 
 
-def compute_preference(
-    em: MultisetEmulation, game: Game, prefix: Sequence[int], player: int
-) -> PreferenceSign:
-    """Truthful announcement: sign of E[u | prefix,0] - E[u | prefix,1].
+def check_policy(policy: Mapping[BitPrefix, Fraction], k: int) -> None:
+    """Raise ``ValueError`` unless ``policy`` steers only internal nodes of the k-round tree.
 
-    A zero difference counts as preferring 0.
+    Each prefix must be 0s and 1s shorter than k, and each steering
+    probability w must lie in [0, 1].  The message names the prefix.
     """
-    if len(prefix) >= em.k:
-        raise ValueError("prefix must leave at least one undecided bit")
-    return oracle_for(em, game).preference(player, tuple(prefix))
+    for prefix, w in policy.items():
+        if len(prefix) >= k or any(b not in (0, 1) for b in prefix):
+            raise ValueError(
+                f"policy prefix {prefix} is not an internal node of the {k}-round tree"
+            )
+        if not 0 <= w <= 1:
+            raise ValueError(f"policy prefix {prefix}: steering probability {w} is not in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -92,9 +94,7 @@ class ProtocolConfig:
 
     @property
     def per_round_bias(self) -> Fraction:
-        if self.k == 0:
-            return ZERO
-        return self.epsilon / (2 * self.k)
+        return round_bias(self.epsilon, self.k)
 
     @classmethod
     def plan(cls, game: Game, epsilon, delta) -> "ProtocolConfig":
@@ -181,11 +181,11 @@ class PartyBehavior:
     def review_announcements(self, transcript: Transcript) -> None:
         """Compare each opponent announcement with the opponent's true preference."""
         opponent = 3 - self.player
-        truth = self.oracle.node_signs(opponent)
+        truth = self.oracle.preferred_table(opponent)
         lied = False
         h = 1  # heap index of the round's node
         for rec, bit in zip(transcript.rounds, transcript.ell):
-            if (rec.sign1 if opponent == 1 else rec.sign2) != truth[h]:
+            if (rec.sign1 if opponent == 1 else rec.sign2) != 1 - 2 * truth[h]:
                 lied = True
                 break
             h = 2 * h + bit
@@ -231,14 +231,17 @@ class PolicyParty(PartyBehavior):
     def __init__(self, policy: Mapping[BitPrefix, Fraction]):
         self.policy = {tuple(k): as_fraction(v) for k, v in policy.items()}
 
+    def start(self, game, em, config, player, oracle) -> None:
+        check_policy(self.policy, config.k)
+        super().start(game, em, config, player, oracle)
+
     def _w(self, prefix: BitPrefix) -> Fraction:
         return self.policy.get(tuple(prefix), ZERO)
 
     def announce(self, prefix: BitPrefix) -> PreferenceSign:
         if self._w(prefix) == 0:
             return self.oracle.preference(self.player, prefix)
-        honest_bit = self.oracle.preferred_bit(3 - self.player, prefix)
-        return sign_for_bit(1 - honest_bit)
+        return -self.oracle.preference(3 - self.player, prefix)
 
     def coin_request(
         self, prefix: BitPrefix, own_sign: PreferenceSign, opponent_sign: PreferenceSign
@@ -336,27 +339,31 @@ class ScriptedParty(PartyBehavior):
 
 
 class _Run:
-    """One protocol run bound to (game, emulation, config, party1, party2).
+    """One protocol run bound to (game, p, emulation, config, party1, party2).
 
-    Binding checks the round count, builds both coin specs, starts both
-    parties on the shared preference oracle, and does so once.  A node of
-    the round tree is then decided on its first visit and kept, keyed by
-    heap index (the root is 1, the children of node h are 2h and 2h + 1).
-    An entry holds ``(win, bit, records)``: for an agreed round ``win`` is
-    None and ``bit`` is the fixed bit; for a coin round ``(bit, win)`` is
-    the flip's ``flip_law``, the bit that wins and its exact probability.
+    Binding checks the round count, builds both coin specs and the run's
+    preference oracle, starts both parties on that oracle, and does so
+    once.  The run also keeps its verdict on whether ``p`` is a correlated
+    equilibrium, checked on first request.  A node of the round tree is
+    then decided on its first visit and kept, keyed by heap index (the
+    root is 1, the children of node h are 2h and 2h + 1).  An entry holds
+    ``(win, bit, records)``: for an agreed round ``win`` is None and
+    ``bit`` is the fixed bit; for a coin round ``(bit, win)`` is the
+    flip's ``flip_law``, the bit that wins and its exact probability.
     ``records`` holds the round's record for either outcome bit.  A trial
     walks k entries and draws only at coin nodes, exactly as many draws as
-    the rounds would take one by one.  This relies on the ``PartyBehavior`` rule that
-    ``announce`` and ``coin_request`` are functions of the prefix.
+    the rounds would take one by one.  This relies on the
+    ``PartyBehavior`` rule that ``announce`` and ``coin_request`` are
+    functions of the prefix.
     """
 
-    __slots__ = ("key", "em", "k", "party1", "party2", "specs", "nodes")
+    __slots__ = ("key", "game", "p", "em", "k", "party1", "party2", "specs", "nodes", "ce")
 
     def __init__(
         self,
         key: tuple,
         game: Game,
+        p: JointDistribution,
         em: MultisetEmulation,
         config: ProtocolConfig,
         party1: PartyBehavior,
@@ -366,15 +373,24 @@ class _Run:
             raise ValueError(f"emulation has k={em.k} but the config says k={config.k}")
         bias = config.per_round_bias
         self.specs = (WcfSpec(0, bias), WcfSpec(1, bias))
-        oracle = oracle_for(em, game)
+        oracle = PreferenceOracle(em, game)
         party1.start(game, em, config, 1, oracle)
         party2.start(game, em, config, 2, oracle)
         self.key = key
+        self.game = game
+        self.p = p
         self.em = em
         self.k = config.k
         self.party1 = party1
         self.party2 = party2
         self.nodes: dict[int, tuple] = {}
+        self.ce: bool | None = None
+
+    def is_ce(self) -> bool:
+        """``check_ce(game, p)``, computed on the first request and kept."""
+        if self.ce is None:
+            self.ce = check_ce(self.game, self.p)
+        return self.ce
 
     def decide(self, h: int, depth: int) -> tuple:
         """The entry for node ``h`` at ``depth``: announcements, then any coin request."""
@@ -442,36 +458,19 @@ def _bind(
 ) -> _Run:
     """The run for these objects: the last binding when every one is the same object.
 
-    Without ``em`` the emulation is built from ``p``, so ``p`` stands in
-    for it in the comparison.  Any other call rebinds, which restarts both
-    parties.
+    Without ``em`` the emulation is built from ``p``.  Any other call
+    rebinds, which restarts both parties.
     """
     global _last_run
-    key = (game, em if em is not None else p, config, party1, party2)
+    key = (game, p, em, config, party1, party2)
     run = _last_run
     if run is not None and all(a is b for a, b in zip(run.key, key)):
         return run
     _last_run = None  # a failed binding may have restarted the parties
     if em is None:
         em = emulate(game, p, config.delta)
-    _last_run = _Run(key, game, em, config, party1, party2)
+    _last_run = _Run(key, game, p, em, config, party1, party2)
     return _last_run
-
-
-_last_ce: tuple | None = None
-
-
-def _is_ce(game: Game, p: JointDistribution) -> bool:
-    """``check_ce(game, p)``, kept while both stay the same objects.
-
-    Keyed on ``p`` itself, not on the run binding, whose key leaves ``p``
-    out when an emulation is given.
-    """
-    global _last_ce
-    last = _last_ce
-    if last is None or last[0] is not game or last[1] is not p:
-        last = _last_ce = (game, p, check_ce(game, p))
-    return last[2]
 
 
 def run_protocol(
@@ -489,11 +488,11 @@ def run_protocol(
 
     The protocol happily samples any distribution, but its guarantees are
     stated for correlated equilibria, so a non-CE input draws a warning on
-    every call.  The check itself runs once per (game, p) pair of objects.
+    every call.  The check itself runs once per run binding.
     """
-    if warn_not_ce and not _is_ce(game, p):
-        warnings.warn("input distribution is not a correlated equilibrium", stacklevel=2)
     run = _bind(game, p, config, party1, party2, em)
+    if warn_not_ce and not run.is_ce():
+        warnings.warn("input distribution is not a correlated equilibrium", stacklevel=2)
     records: list[RoundRecord] = []
     leaf = run.walk(randomness, records)
     ell = tuple([rec.bit for rec in records])

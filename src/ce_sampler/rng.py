@@ -36,9 +36,6 @@ class RandomStream:
             raise ValueError("randbelow needs a positive bound")
         return self._rng.randrange(n)
 
-    def bit(self) -> int:
-        return self._rng.getrandbits(1)
-
     def bernoulli(self, p: Fraction) -> bool:
         """True with probability exactly ``p`` (integer arithmetic, no floats)."""
         numerator, denominator = p.numerator, p.denominator  # ints: no Fraction compares

@@ -58,10 +58,6 @@ class Constraint:
         object.__setattr__(self, "rhs", as_fraction(self.rhs))
 
 
-def constraint(coeffs: Sequence, relation: str, rhs) -> Constraint:
-    return Constraint(tuple(as_fraction(c) for c in coeffs), relation, as_fraction(rhs))
-
-
 @dataclass(frozen=True)
 class LpProblem:
     """Maximize ``objective . x`` subject to ``constraints`` and x >= 0."""

@@ -32,7 +32,7 @@ from ce_sampler.analysis import (
     verify_payoff_guarantees,
     worst_case_adversary,
 )
-from ce_sampler.emulation import conditional_expected_utility, l1_distance
+from ce_sampler.emulation import PreferenceOracle, l1_distance
 from conftest import random_distribution, random_rational_game
 
 HALF = F(1, 2)
@@ -40,6 +40,7 @@ HALF = F(1, 2)
 
 def recursive_honest_oracle(em, game):
     """Second, direct implementation of the honest-run distribution."""
+    oracle = PreferenceOracle(em, game)
     dist = {}
 
     def walk(prefix, mass):
@@ -48,8 +49,8 @@ def recursive_honest_oracle(em, game):
             return
         prefs = []
         for player in (1, 2):
-            zero = conditional_expected_utility(em, game, prefix, 0, player)
-            one = conditional_expected_utility(em, game, prefix, 1, player)
+            zero = oracle.conditional_expected(player, prefix, 0)
+            one = oracle.conditional_expected(player, prefix, 1)
             prefs.append(0 if zero >= one else 1)
         if prefs[0] == prefs[1]:
             walk(prefix + (prefs[0],), mass)
@@ -207,14 +208,15 @@ class TestScaledWeights:
     def recursive_outcome(em, game, policy, dishonest, objective):
         honest = 3 - dishonest
         player = dishonest if objective == "max-own" else honest
+        oracle = PreferenceOracle(em, game)
         dist = {}
 
         def walk(prefix, mass):
             if len(prefix) == em.k:
                 dist[prefix] = mass
                 return
-            zero = conditional_expected_utility(em, game, prefix, 0, honest)
-            one = conditional_expected_utility(em, game, prefix, 1, honest)
+            zero = oracle.conditional_expected(honest, prefix, 0)
+            one = oracle.conditional_expected(honest, prefix, 1)
             b_h = 0 if zero >= one else 1
             w = policy[prefix]
             walk(prefix + (b_h,), mass * (1 - w))
@@ -467,9 +469,10 @@ class TestBruteForcePolicies:
         for game, em in self.instances(bos, bos_fair_ce):
             assert em.k <= 3
             nodes = [prefix for m in range(em.k) for prefix in itertools.product((0, 1), repeat=m)]
+            oracle = PreferenceOracle(em, game)
             preferred = {
-                (player, prefix): 0 if conditional_expected_utility(em, game, prefix, 0, player)
-                >= conditional_expected_utility(em, game, prefix, 1, player) else 1
+                (player, prefix): 0 if oracle.conditional_expected(player, prefix, 0)
+                >= oracle.conditional_expected(player, prefix, 1) else 1
                 for player in (1, 2) for prefix in nodes
             }
             for power, objective, dishonest in itertools.product(

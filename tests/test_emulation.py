@@ -10,7 +10,6 @@ from ce_sampler import (
     JointDistribution,
     JointStrategy,
     PreferenceOracle,
-    conditional_expected_utility,
     emulate,
     expected_utility,
     l1_distance,
@@ -101,23 +100,24 @@ class TestEmulate:
 
 class TestConditionals:
     def test_branch_averages(self, bos, bos_fair_ce):
-        em = emulate(bos, bos_fair_ce, F(1, 2))
-        assert conditional_expected_utility(em, bos, (), 0, 1) == 4
-        assert conditional_expected_utility(em, bos, (), 1, 1) == 2
-        assert conditional_expected_utility(em, bos, (), 0, 2) == 2
-        assert conditional_expected_utility(em, bos, (), 1, 2) == 4
+        oracle = PreferenceOracle(emulate(bos, bos_fair_ce, F(1, 2)), bos)
+        assert oracle.conditional_expected(1, (), 0) == 4
+        assert oracle.conditional_expected(1, (), 1) == 2
+        assert oracle.conditional_expected(2, (), 0) == 2
+        assert oracle.conditional_expected(2, (), 1) == 4
 
     def test_full_prefix_is_single_entry(self, bos, bos_fair_ce):
         em = emulate(bos, bos_fair_ce, F(1, 2))
+        oracle = PreferenceOracle(em, bos)
         for index in range(em.size):
             bits = index_to_bits(index, em.k)
-            value = conditional_expected_utility(em, bos, bits[:-1], bits[-1], 1)
+            value = oracle.conditional_expected(1, bits[:-1], bits[-1])
             assert value == bos.utility(1, em.table[index])
 
     def test_prefix_too_long_rejected(self, bos, bos_fair_ce):
-        em = emulate(bos, bos_fair_ce, F(1, 2))
+        oracle = PreferenceOracle(emulate(bos, bos_fair_ce, F(1, 2)), bos)
         with pytest.raises(ValueError):
-            conditional_expected_utility(em, bos, (0, 1, 1), 0, 1)
+            oracle.conditional_expected(1, (0, 1, 1), 0)
 
     def test_preferred_bits_per_level(self, bos, bos_fair_ce):
         # Ties (equal branch averages) prefer 0, as in ``preference``.
@@ -133,12 +133,12 @@ class TestConditionals:
                 for m in range(em.k):
                     prefixes = [index_to_bits(j, m) for j in range(1 << m)]
                     assert oracle.preferred_bits(player, m) == [
-                        0 if conditional_expected_utility(em, game, prefix, 0, player)
-                        >= conditional_expected_utility(em, game, prefix, 1, player) else 1
+                        0 if oracle.conditional_expected(player, prefix, 0)
+                        >= oracle.conditional_expected(player, prefix, 1) else 1
                         for prefix in prefixes
                     ]
                     assert oracle.preferred_bits(player, m) == [
-                        oracle.preferred_bit(player, prefix) for prefix in prefixes
+                        0 if oracle.preference(player, prefix) == 1 else 1 for prefix in prefixes
                     ]
 
     def test_preferred_bits_only_at_internal_levels(self, bos, bos_fair_ce):

@@ -131,7 +131,7 @@ class TestAnnouncementCheck:
     def test_truthful_request_zero_is_accepted(self, bos, bos_fair_ce):
         em = emulate(bos, bos_fair_ce, F(1, 2))
         config = ProtocolConfig(F(1, 10), F(1, 2), em.k)
-        honest_bit = PreferenceOracle(em, bos).preferred_bit(2, ())
+        honest_bit = 0 if PreferenceOracle(em, bos).preference(2, ()) == 1 else 1
         for party1 in (ScriptedParty(win_request={(): F(0)}), PolicyParty({(): F(0)})):
             for trial in range(10):
                 outcome = play_extended_game(

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -12,13 +13,13 @@ from ce_sampler import (
     JointDistribution,
     JointStrategy,
     PolicyParty,
+    PreferenceOracle,
     ProtocolConfig,
     RandomStream,
     ScriptedParty,
     check_ce,
-    compute_preference,
     emulate,
-    conditional_expected_utility,
+    play_extended_game,
     run_protocol,
     simulate_outputs,
 )
@@ -61,23 +62,23 @@ def exact_output_distribution(game, p, config, em):
 
 class TestPreferences:
     def test_bos_root_preferences(self, bos, bos_fair_ce):
-        em = emulate(bos, bos_fair_ce, F(1, 2))
-        assert compute_preference(em, bos, (), 1) == 1
-        assert compute_preference(em, bos, (), 2) == -1
+        oracle = PreferenceOracle(emulate(bos, bos_fair_ce, F(1, 2)), bos)
+        assert oracle.preference(1, ()) == 1
+        assert oracle.preference(2, ()) == -1
 
     def test_tie_prefers_zero(self, bos):
         point = JointDistribution.point_mass(JointStrategy(0, 0))
-        em = emulate(bos, point, F(1, 2))
+        oracle = PreferenceOracle(emulate(bos, point, F(1, 2)), bos)
         for player in (1, 2):
-            assert compute_preference(em, bos, (), player) == 1
+            assert oracle.preference(player, ()) == 1
 
     def test_matches_conditional_utilities(self, bos, bos_fair_ce):
-        em = emulate(bos, bos_fair_ce, F(1, 2))
+        oracle = PreferenceOracle(emulate(bos, bos_fair_ce, F(1, 2)), bos)
         for player in (1, 2):
-            zero = conditional_expected_utility(em, bos, (), 0, player)
-            one = conditional_expected_utility(em, bos, (), 1, player)
+            zero = oracle.conditional_expected(player, (), 0)
+            one = oracle.conditional_expected(player, (), 1)
             expected = 1 if zero >= one else -1
-            assert compute_preference(em, bos, (), player) == expected
+            assert oracle.preference(player, ()) == expected
 
 
 class TestFirstRound:
@@ -185,8 +186,8 @@ class TestRunProtocol:
             run_protocol(bos, lopsided, config, HonestParty(), HonestParty(), RandomStream(0))
 
     def test_ce_check_runs_once_per_distribution(self, bos, monkeypatch):
-        # The emulation is given, so the run binding does not see ``p``;
-        # the verdict is still kept per ``p`` object, and every call warns.
+        # The emulation is given, but the run binding still keys on ``p``:
+        # the verdict is kept per ``p`` object, and every call warns.
         checked = []
 
         def counting_check_ce(game, p):
@@ -208,6 +209,35 @@ class TestRunProtocol:
                 run_protocol(bos, again, config, *parties, RandomStream(t), em=em)
         assert len(checked) == 2 and checked[1] is again
 
+    def test_one_oracle_per_binding(self, bos, bos_fair_ce, monkeypatch):
+        # Trials on the same objects share one binding and so one oracle;
+        # a new ``p`` object rebinds, building one more and checking it once.
+        built, checked = [], []
+
+        class CountingOracle(PreferenceOracle):
+            def __init__(self, em, game):
+                built.append(em)
+                super().__init__(em, game)
+
+        def counting_check_ce(game, p):
+            checked.append(p)
+            return check_ce(game, p)
+
+        monkeypatch.setattr(protocol, "PreferenceOracle", CountingOracle)
+        monkeypatch.setattr(protocol, "check_ce", counting_check_ce)
+        em = emulate(bos, bos_fair_ce, F(1, 2))
+        config = ProtocolConfig(F(1, 10), F(1, 2), em.k)
+        parties = (HonestParty(), HonestParty())
+        for t in range(12):
+            play_extended_game(bos, bos_fair_ce, config, *parties, RandomStream(t), em=em)
+        assert len(built) == 1 and built[0] is em
+        assert len(checked) == 1
+        again = JointDistribution(dict(bos_fair_ce.probs))
+        for t in range(5):
+            play_extended_game(bos, again, config, *parties, RandomStream(t), em=em)
+        assert len(built) == 2
+        assert len(checked) == 2 and checked[1] is again
+
     def test_agreed_rounds_improve_both_players(self):
         # Wherever the honest parties agree, the chosen branch must be
         # weakly better than the alternative for both of them.
@@ -216,16 +246,17 @@ class TestRunProtocol:
             game = random_rational_game(rng, rng.randint(2, 3), rng.randint(2, 3))
             p = random_distribution(rng, list(game.cells()))
             em = emulate(game, p, F(1, 2))
+            oracle = PreferenceOracle(em, game)
 
             def walk(prefix):
                 if len(prefix) == em.k:
                     return
-                signs = [compute_preference(em, game, prefix, pl) for pl in (1, 2)]
+                signs = [oracle.preference(pl, prefix) for pl in (1, 2)]
                 if signs[0] == signs[1]:
                     chosen = 0 if signs[0] == 1 else 1
                     for player in (1, 2):
-                        better = conditional_expected_utility(em, game, prefix, chosen, player)
-                        worse = conditional_expected_utility(em, game, prefix, 1 - chosen, player)
+                        better = oracle.conditional_expected(player, prefix, chosen)
+                        worse = oracle.conditional_expected(player, prefix, 1 - chosen)
                         assert better >= worse
                 walk(prefix + (0,))
                 walk(prefix + (1,))
@@ -234,6 +265,20 @@ class TestRunProtocol:
 
 
 class TestBehaviors:
+    @pytest.mark.parametrize(
+        "policy",
+        [{(): F(3, 2)}, {(0, 1, 1, 1, 1): F(1, 2)}, {(2,): F(1, 2)}],
+        ids=["w-above-one", "prefix-too-long", "prefix-not-bits"],
+    )
+    def test_bad_policy_raises_when_the_run_starts(self, bos, bos_fair_ce, policy):
+        em = emulate(bos, bos_fair_ce, F(1, 2))
+        config = ProtocolConfig(F(1, 10), F(1, 2), em.k)
+        assert em.k == 3
+        cheater = PolicyParty(policy)
+        (prefix,) = policy
+        with pytest.raises(ValueError, match=re.escape(str(prefix))):
+            run_protocol(bos, bos_fair_ce, config, cheater, HonestParty(), RandomStream(0), em=em)
+
     def test_policy_party_requests_logged(self, bos, bos_fair_ce):
         em = emulate(bos, bos_fair_ce, F(1, 2))
         config = ProtocolConfig(F(1, 10), F(1, 2), em.k)

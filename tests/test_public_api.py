@@ -32,6 +32,69 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def test_exported_names_are_pinned():
+    # Adding or deleting a public name is a reviewed edit of this list.
+    assert sorted(ce_sampler.__all__) == [
+        "AdversaryOutcome",
+        "AnalysisReport",
+        "CeObjective",
+        "CheaterRequest",
+        "Constraint",
+        "ExtendedOutcome",
+        "Game",
+        "HonestParty",
+        "JointDistribution",
+        "JointStrategy",
+        "LpInfeasibleError",
+        "LpProblem",
+        "LpSolution",
+        "LpUnboundedError",
+        "MultisetEmulation",
+        "PartyBehavior",
+        "PolicyParty",
+        "PreferenceOracle",
+        "ProductDistribution",
+        "ProtocolConfig",
+        "RandomStream",
+        "ScriptedParty",
+        "Transcript",
+        "WcfSpec",
+        "as_fraction",
+        "augmented_normal_form",
+        "build_ce_lp",
+        "ce_polytope_vertices",
+        "ce_slice_bounds",
+        "check_ce",
+        "check_mixed_ne",
+        "check_pure_ne",
+        "deviation_gain_bound_holds",
+        "emulate",
+        "expected_utility",
+        "flip_law",
+        "honest_output_distribution",
+        "honest_policy",
+        "l1_distance",
+        "marginal",
+        "max_ce_deviation_gain",
+        "normalize",
+        "outcome_distribution",
+        "play_extended_game",
+        "policy_outcome",
+        "rounds_for",
+        "run_honest",
+        "run_protocol",
+        "run_with_cheater",
+        "settle",
+        "simplex_solve",
+        "simulate_outputs",
+        "solve_ce",
+        "truthful_announcements_optimal",
+        "verify_distance_bounds",
+        "verify_payoff_guarantees",
+        "worst_case_adversary",
+    ]
+
+
 def test_every_traced_target_exists():
     targets = _tracing_targets()
     assert targets
