@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .games import ZERO, Game, JointDistribution, JointStrategy
-from .simplex import EQ, GE, Constraint, LpProblem, simplex_sequence
+from .simplex import EQ, GE, Constraint, LpProblem, _optimize
 
 
 class CeObjective(Enum):
@@ -125,7 +125,9 @@ def solve_ce(game: Game, objective: CeObjective = CeObjective.MAX_TOTAL_LEX) -> 
     """Compute a correlated equilibrium under the chosen selection rule.
 
     All selection steps form one lexicographic sequence on one tableau
-    (:func:`ce_sampler.simplex.simplex_sequence`).  MAX_FAIR maximizes
+    (:func:`ce_sampler.simplex.simplex_sequence`, from the slack start:
+    the last step leaves one point, so the start cannot change it, and
+    phase 1 has only the sum-to-one row's artificial).  MAX_FAIR maximizes
     the worse player's payoff through two extra epigraph columns
     t = t+ - t- with rows u_p . x >= t, then the total payoff, then each
     profile probability in row-major order; MAX_TOTAL_LEX drops the first
@@ -137,7 +139,7 @@ def solve_ce(game: Game, objective: CeObjective = CeObjective.MAX_TOTAL_LEX) -> 
     identical output.
     """
     n = game.n_cells
-    rows = list(build_ce_lp(game, objective).constraints)
+    rows = deviation_constraints(game) + [_sum_to_one(n)]
     steps = [_unit(n, i) for i in range(n)]
     if objective is not CeObjective.FEASIBLE:
         steps.insert(0, total_payoff_vector(game))
@@ -149,7 +151,7 @@ def solve_ce(game: Game, objective: CeObjective = CeObjective.MAX_TOTAL_LEX) -> 
             rows.append(Constraint(coeffs, GE, ZERO))
         steps = [(ZERO,) * n + (Fraction(1), Fraction(-1))] + [v + (ZERO, ZERO) for v in steps]
 
-    point = simplex_sequence(rows, steps)[-1].values
+    point = _optimize(rows, steps, lexicographic=True, slack_start=True)[-1].values
     return JointDistribution({cell: v for cell, v in zip(cell_order(game), point) if v})
 
 
@@ -222,20 +224,17 @@ def ce_slice_bounds(
 
     When min == max for every profile the slice is a single point — the
     workhorse for uniqueness arguments in games too large to enumerate.
-    The 2n bounds are one unrestricted sequence on one tableau, each
-    starting from the previous optimal basis.  Raises LpInfeasibleError
+    The 2n bounds are one unrestricted sequence on one tableau, from the
+    slack start (only values are returned), each starting from the
+    previous optimal basis.  Raises LpInfeasibleError
     if the slice is empty.
     """
     n = game.n_cells
-    rows = (
-        deviation_constraints(game)
-        + _nonnegativity_constraints(n)
-        + [_sum_to_one(n)]
-        + list(extra)
-    )
+    rows = deviation_constraints(game) + [_sum_to_one(n)] + list(extra)
     objectives = []
     for i in range(n):
         vector = _unit(n, i)
         objectives += [vector, tuple(-c for c in vector)]
-    values = [s.objective_value for s in simplex_sequence(rows, objectives, lexicographic=False)]
+    solutions = _optimize(rows, objectives, lexicographic=False, slack_start=True)
+    values = [s.objective_value for s in solutions]
     return [(-values[2 * i + 1], values[2 * i]) for i in range(n)]

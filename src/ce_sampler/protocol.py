@@ -61,6 +61,11 @@ def round_bias(epsilon: Fraction, k: int) -> Fraction:
     return epsilon / (2 * k) if k else ZERO
 
 
+def _is_internal_node(prefix: BitPrefix, k: int) -> bool:
+    """Whether ``prefix`` is 0s and 1s shorter than k: a round of the k-round tree."""
+    return len(prefix) < k and all(b in (0, 1) for b in prefix)
+
+
 def check_policy(policy: Mapping[BitPrefix, Fraction], k: int) -> None:
     """Raise ``ValueError`` unless ``policy`` steers only internal nodes of the k-round tree.
 
@@ -68,7 +73,7 @@ def check_policy(policy: Mapping[BitPrefix, Fraction], k: int) -> None:
     probability w must lie in [0, 1].  The message names the prefix.
     """
     for prefix, w in policy.items():
-        if len(prefix) >= k or any(b not in (0, 1) for b in prefix):
+        if not _is_internal_node(prefix, k):
             raise ValueError(
                 f"policy prefix {prefix} is not an internal node of the {k}-round tree"
             )
@@ -306,7 +311,7 @@ class ScriptedParty(PartyBehavior):
         """Raise ``ValueError`` unless the script fits seat ``player`` of ``game`` at k rounds."""
         for field, mapping in (("announce", self.script_announce), ("win_request", self.script_win)):
             for prefix in mapping:
-                if len(prefix) >= k or not all(b in (0, 1) for b in prefix):
+                if not _is_internal_node(prefix, k):
                     raise ValueError(
                         f"field {field!r} prefix {_show_prefix(prefix)} must be 0s and 1s"
                         f" shorter than k = {k}"

@@ -19,6 +19,21 @@ previous optimal basis.  In a lexicographic sequence each step is
 restricted to the optimal face of the steps before it (Isermann 1982,
 "Linear lexicographic optimization") by banning from entry every column
 whose reduced cost was positive at an earlier optimum.
+
+The tableau has two starts.  The artificial start gives every row an
+artificial column, and phase 1 drives them all out.  The slack start
+begins each row that can from its slack: a ``<=`` row with right-hand
+side b >= 0, or a ``>=`` row with b <= 0 (negated).  Only the other rows
+(``==`` rows, ``>=`` rows with b > 0, ``<=`` rows with b < 0) get an
+artificial, and phase 1 is skipped when none does.  On a CE LP every
+deviation row ``... >= 0`` then starts from its slack, and phase 1
+shrinks to the sum-to-one row.  The two
+starts reach the same optimal values and raise the same errors, but where
+an optimum is not unique they can return different vertices.  So the
+public :func:`simplex_solve` and :func:`simplex_sequence` keep the
+artificial start, whose vertices callers rely on (the acceptance battery
+takes its CE points from them), and only CE selection, whose every
+answer is unique, uses the slack start.
 """
 
 from __future__ import annotations
@@ -112,43 +127,56 @@ class _Tableau:
     and ``det`` becomes the pivot p (Edmonds 1967; Bareiss 1968).  The
     division is exact because every entry is then a minor of the starting
     integer matrix, whose basis columns form the identity; so each row is
-    scaled by the lcm of its own denominators, and its artificial keeps
-    coefficient 1 (artificial i measures ``scales[i]`` times the
-    artificial of the unscaled row).
+    scaled by the lcm of its own denominators, and the column it starts
+    from keeps coefficient 1.  With the artificial start that is every
+    row's artificial (artificial i measures ``scales[i]`` times the
+    artificial of the unscaled row).  With ``slack_start`` a row whose
+    slack has a positive coefficient (after negating a ``>=`` row with
+    right-hand side 0) starts from that slack, set to 1, so the slack
+    measures the row's scale times the unscaled slack; only the other rows
+    get an artificial, and ``scales`` lists theirs.  Rescaling a slack
+    column by a positive factor moves no pivot decision, and the vertex is
+    read from the structural columns only.
     """
 
-    def __init__(self, constraints: Sequence[Constraint], n_vars: int):
+    def __init__(
+        self, constraints: Sequence[Constraint], n_vars: int, slack_start: bool = False
+    ):
         rows = [c for c in constraints if not _is_implied_nonnegativity(c)]
         self.n = n_vars
         slack_rows = [i for i, c in enumerate(rows) if c.relation != EQ]
         self.n_slack = len(slack_rows)
-        m = len(rows)
         self.first_artificial = self.n + self.n_slack
-        self.width = self.first_artificial + m  # structural + slack + artificial
         self.det = 1
         self.matrix: list[list[int]] = []
         self.rhs: list[int] = []
         self.basis: list[int] = []
-        self.scales: list[int] = []
+        self.scales: list[int] = []  # of the rows with an artificial, in column order
 
         slack_col = {row: self.n + j for j, row in enumerate(slack_rows)}
         for i, con in enumerate(rows):
             ints, scale = _scaled(con.coeffs + (con.rhs,))
             b = ints.pop()
-            line = ints + [0] * (self.n_slack + m)
+            line = ints + [0] * self.n_slack
+            slack = slack_col.get(i)
             if con.relation == LE:
-                line[slack_col[i]] = scale
+                line[slack] = scale
             elif con.relation == GE:
-                line[slack_col[i]] = -scale
-            if b < 0:
+                line[slack] = -scale
+            if b < 0 or (slack_start and b == 0 and con.relation == GE):
                 line = [-v for v in line]
                 b = -b
-            art = self.first_artificial + i
-            line[art] = 1
+            if slack_start and slack is not None and line[slack] > 0:
+                self.basis.append(slack)
+            else:
+                self.basis.append(self.first_artificial + len(self.scales))
+                self.scales.append(scale)
             self.matrix.append(line)
             self.rhs.append(b)
-            self.basis.append(art)
-            self.scales.append(scale)
+        self.width = self.first_artificial + len(self.scales)  # structural + slack + artificial
+        for line, start in zip(self.matrix, self.basis):
+            line.extend([0] * len(self.scales))
+            line[start] = 1  # the starting basis is the identity
 
     def _objective_row(self, cost: list[int]) -> list[int]:
         # det times the reduced costs z_j - c_j of the current basis
@@ -258,6 +286,20 @@ def simplex_sequence(
     constraints have no solution or a step has no finite optimum, and
     :class:`ValueError` when ``objectives`` is empty or a width differs.
     """
+    return _optimize(constraints, objectives, lexicographic, slack_start=False)
+
+
+def _optimize(
+    constraints: Sequence[Constraint],
+    objectives: Sequence[Sequence],
+    lexicographic: bool,
+    slack_start: bool,
+) -> list[LpSolution]:
+    """:func:`simplex_sequence` from the artificial or the slack start.
+
+    Every optimal value, and every error, is the same from either start;
+    a vertex can differ where the optimum is not unique.
+    """
     if not objectives:
         raise ValueError("objectives must hold at least one objective")
     costs = [_scaled([as_fraction(c) for c in objective]) for objective in objectives]
@@ -266,16 +308,17 @@ def simplex_sequence(
         raise ValueError("objective lengths differ")
     if any(len(con.coeffs) != n for con in constraints):
         raise ValueError("constraint width does not match objective length")
-    tab = _Tableau(constraints, n)
+    tab = _Tableau(constraints, n, slack_start)
 
-    # Artificial i carries scales[i] times the unscaled artificial, so the
-    # cost -1/scales[i] makes phase 1 minimize the same sum.
-    phase1_scale = math.lcm(*tab.scales)
-    phase1_cost = [0] * tab.first_artificial + [-phase1_scale // s for s in tab.scales]
-    tab.run(phase1_cost, range(tab.width))
-    if tab.value(phase1_cost, phase1_scale) != 0:
-        raise LpInfeasibleError("artificial variables cannot be driven to zero")
-    tab.drive_out_artificials()
+    if tab.scales:
+        # Artificial i carries scales[i] times the unscaled artificial, so
+        # the cost -1/scales[i] makes phase 1 minimize the same sum.
+        phase1_scale = math.lcm(*tab.scales)
+        phase1_cost = [0] * tab.first_artificial + [-phase1_scale // s for s in tab.scales]
+        tab.run(phase1_cost, range(tab.width))
+        if tab.value(phase1_cost, phase1_scale) != 0:
+            raise LpInfeasibleError("artificial variables cannot be driven to zero")
+        tab.drive_out_artificials()
 
     columns: Sequence[int] = range(tab.first_artificial)
     solutions = []
@@ -296,4 +339,4 @@ def simplex_solve(lp: LpProblem) -> LpSolution:
     Raises :class:`LpInfeasibleError` / :class:`LpUnboundedError` when the
     problem has no solution or no finite optimum.
     """
-    return simplex_sequence(lp.constraints, [lp.objective])[0]
+    return _optimize(lp.constraints, [lp.objective], lexicographic=True, slack_start=False)[0]

@@ -1,6 +1,7 @@
 """CE polytope assembly, objective selection, vertices and slice bounds."""
 
 import functools
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -28,6 +29,10 @@ from ce_sampler.ce_solver import (
 )
 from ce_sampler.simplex import EQ, GE, LE, Constraint, LpInfeasibleError
 from conftest import random_rational_game
+
+# SHA-256 of solve_ce under every objective and ce_slice_bounds on 20
+# seeded games (2x2...4x4) and one 6x6, taken with the artificial start.
+SELECTION_OUTPUTS = "030fa2afe0f2560cc169a4a3bd3b9a2925de456a18ae730943202c2b55d70e33"
 
 
 def satisfies(constraint: Constraint, x: list[F]) -> bool:
@@ -98,6 +103,20 @@ def cut_vertices(game: Game, extra=()) -> set[tuple[F, ...]]:
         if all(sum(c * v for c, v in zip(r, x)) >= r[n] * den for r in integer_rows):
             points.add(tuple(F(v, den) for v in x))
     return points
+
+
+@functools.cache
+def fair_cut(game: Game) -> tuple[F, tuple[Constraint, ...]]:
+    """The largest payoff both players can get together, and the rows u_p . x >= it."""
+    u1, u2 = payoff_vector(game, 1), payoff_vector(game, 2)
+    # min(u1, u2) is linear on each half of the polytope split by u1 = u2,
+    # so its maximum is attained at a vertex of one of the halves.
+    gap = tuple(a - b for a, b in zip(u1, u2))
+    halves = cut_vertices(game, [Constraint(gap, GE, F(0))]) | cut_vertices(
+        game, [Constraint(tuple(-v for v in gap), GE, F(0))]
+    )
+    floor = max(min(dot(u1, x), dot(u2, x)) for x in halves)
+    return floor, (Constraint(u1, GE, floor), Constraint(u2, GE, floor))
 
 
 @functools.cache
@@ -300,21 +319,26 @@ class TestAgainstVertexOracle:
 
     def test_max_fair_is_lex_max_fair_then_total_optimal_vertex(self, case):
         game, _ = case
-        u1, u2 = payoff_vector(game, 1), payoff_vector(game, 2)
+        floor, cut = fair_cut(game)
         total = total_payoff_vector(game)
-        # min(u1, u2) is linear on each half of the polytope split by u1 = u2,
-        # so its maximum is attained at a vertex of one of the halves.
-        gap = tuple(a - b for a, b in zip(u1, u2))
-        halves = cut_vertices(game, [Constraint(gap, GE, F(0))]) | cut_vertices(
-            game, [Constraint(tuple(-v for v in gap), GE, F(0))]
-        )
-        floor = max(min(dot(u1, x), dot(u2, x)) for x in halves)
-        fair = cut_vertices(game, [Constraint(u1, GE, floor), Constraint(u2, GE, floor)])
+        fair = cut_vertices(game, cut)
         best = max(dot(total, x) for x in fair)
         expected = max(x for x in fair if dot(total, x) == best)
         dist = solve_ce(game, CeObjective.MAX_FAIR)
         assert tuple(as_vector(game, dist)) == expected
         assert min(expected_utility(game, dist, 1), expected_utility(game, dist, 2)) == floor
+
+    def test_slice_bounds_under_a_payoff_floor_are_vertex_extremes(self, case):
+        # The floor rows have a positive right-hand side, so they start from
+        # an artificial while the deviation rows start from their slack.
+        game, _ = case
+        floor, cut = fair_cut(game)
+        assert floor > 0
+        vertices = cut_vertices(game, cut)
+        bounds = ce_slice_bounds(game, cut)
+        for i in range(game.n_cells):
+            values = [x[i] for x in vertices]
+            assert bounds[i] == (min(values), max(values))
 
     def test_slice_bounds_are_vertex_extremes(self, case):
         game, vertices = case
@@ -329,3 +353,22 @@ def test_empty_slice_raises(coinflip):
     above = Constraint(total_payoff_vector(coinflip), GE, F(3, 2))
     with pytest.raises(LpInfeasibleError):
         ce_slice_bounds(coinflip, [above])
+
+
+def test_selection_outputs_are_pinned():
+    """Every selection rule and the slice bounds have one answer per game.
+
+    So no change of the tableau's start may move them.  The 6x6 game also
+    catches a slowdown: its four calls take seconds.
+    """
+    rng = random.Random(6007)
+    games = [random_rational_game(rng, rng.randint(2, 4), rng.randint(2, 4)) for _ in range(20)]
+    games.append(random_rational_game(random.Random(0), 6, 6))
+    digest = hashlib.sha256()
+    for game in games:
+        for objective in CeObjective:
+            dist = solve_ce(game, objective)
+            digest.update(repr([str(dist.prob(c)) for c in cell_order(game)]).encode())
+        bounds = ce_slice_bounds(game)
+        digest.update(repr([(str(lo), str(hi)) for lo, hi in bounds]).encode())
+    assert digest.hexdigest() == SELECTION_OUTPUTS

@@ -16,6 +16,7 @@ from ce_sampler.simplex import (
     LpInfeasibleError,
     LpProblem,
     LpUnboundedError,
+    _optimize,
     simplex_sequence,
     simplex_solve,
 )
@@ -32,6 +33,24 @@ def lp(objective, rows):
         tuple(F(c) for c in objective),
         tuple(Constraint(tuple(F(v) for v in coeffs), rel, F(rhs)) for coeffs, rel, rhs in rows),
     )
+
+
+def dot(coeffs, x) -> F:
+    return sum((c * v for c, v in zip(coeffs, x)), F(0))
+
+
+def feasible(problem: LpProblem, x) -> bool:
+    if any(v < 0 for v in x):
+        return False
+    for con in problem.constraints:
+        lhs = dot(con.coeffs, x)
+        if con.relation == LE and lhs > con.rhs:
+            return False
+        if con.relation == GE and lhs < con.rhs:
+            return False
+        if con.relation == EQ and lhs != con.rhs:
+            return False
+    return True
 
 
 def brute_force_max(problem: LpProblem) -> F:
@@ -64,25 +83,12 @@ def brute_force_max(problem: LpProblem) -> F:
                     a[r] = [v - f * w for v, w in zip(a[r], a[col])]
         return [a[r][n] for r in range(n)]
 
-    def feasible(x):
-        if any(v < 0 for v in x):
-            return False
-        for con in problem.constraints:
-            lhs = sum(c * v for c, v in zip(con.coeffs, x))
-            if con.relation == LE and lhs > con.rhs:
-                return False
-            if con.relation == GE and lhs < con.rhs:
-                return False
-            if con.relation == EQ and lhs != con.rhs:
-                return False
-        return True
-
     best = None
     for subset in itertools.combinations(planes, n):
         x = solve_square(subset)
-        if x is None or not feasible(x):
+        if x is None or not feasible(problem, x):
             continue
-        value = sum(c * v for c, v in zip(problem.objective, x))
+        value = dot(problem.objective, x)
         if best is None or value > best:
             best = value
     assert best is not None, "oracle found no vertex; problem infeasible?"
@@ -300,6 +306,34 @@ class TestPivotPath:
                 digest.update(repr(outcome).encode())
         assert seen == {"solved", "LpInfeasibleError", "LpUnboundedError"}
         assert digest.hexdigest() == GENERAL_LP_PATH
+
+
+class TestSlackStart:
+    def test_slack_start_gives_the_same_values_and_errors(self):
+        """The slack start, which CE selection uses, against the artificial one.
+
+        Vertices may differ where an optimum is not unique, so each step's
+        value is compared, and the slack-started vertex is checked to be
+        feasible and to attain it.
+        """
+        rng = random.Random(5003)
+        for _ in range(40):
+            rows, objectives = general_lp(rng)
+            for lexicographic in (True, False):
+                outcomes = []
+                for slack_start in (False, True):
+                    try:
+                        steps = _optimize(rows, objectives, lexicographic, slack_start)
+                    except (LpInfeasibleError, LpUnboundedError) as exc:
+                        outcomes.append(type(exc))
+                    else:
+                        outcomes.append([s.objective_value for s in steps])
+                assert outcomes[0] == outcomes[1]
+                if isinstance(outcomes[1], list):
+                    problem = LpProblem(objectives[0], tuple(rows))
+                    for objective, step in zip(objectives, steps):
+                        assert feasible(problem, step.values)
+                        assert dot(objective, step.values) == step.objective_value
 
 
 class TestValidation:
