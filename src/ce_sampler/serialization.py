@@ -139,10 +139,6 @@ def parse_distribution(obj: Mapping[str, Any], where: str = "<dist>") -> JointDi
         raise NonRationalEntryError(f"{where}: {exc}") from exc
 
 
-def parse_distribution_file(path: str | Path) -> JointDistribution:
-    return parse_distribution(_load_json(path), where=str(path))
-
-
 def distribution_to_json(dist: JointDistribution) -> dict:
     return {
         "probs": {f"{s.s1},{s.s2}": str(p) for s, p in dist.items_sorted()}

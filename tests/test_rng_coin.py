@@ -1,5 +1,6 @@
 """Random streams and the ideal weak coin flip functionality."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -47,6 +48,66 @@ class TestRandomStream:
         n = 20_000
         hits = sum(stream.bernoulli(F(1, 5)) for _ in range(n))
         assert abs(hits / n - 0.2) < 0.02
+
+    @pytest.mark.parametrize(
+        "p",
+        [F(1, 3), F(2, 7), F(31, 60), F(513, 2**10 + 1), F(2**599 // 3, 2**600 + 1)],
+        ids=["1/3", "2/7", "31/60", "2^m+1", "wider-than-a-digest"],
+    )
+    def test_bernoulli_frequency_awkward_denominators(self, p):
+        # 2^m + 1 rejects almost half of its draws; a denominator above
+        # 2^512 concatenates two digests per draw.
+        stream = RandomStream(31)
+        n = 20_000
+        hits = sum(stream.bernoulli(p) for _ in range(n))
+        assert abs(F(hits, n) - p) < F(2, 100)
+
+    KNOWN_ANSWERS = [
+        ((0, (), 2), [0, 0, 1, 1, 0, 0]),
+        ((20108, (7,), 6), [2, 2, 2, 0, 0, 5]),
+        ((-5, (3, 1), 10**6), [313066, 165696, 920477, 612984, 717533, 345749]),
+        ((1, (2**70,), 2**64 + 1), [
+            8292083924681105866, 68169364233213942, 5804555065578976770,
+            2654419449298625734, 2906576713659959520, 9007729119731724968,
+        ]),
+    ]
+
+    @pytest.mark.parametrize("address, draws", KNOWN_ANSWERS, ids=lambda v: str(v)[:24])
+    def test_randbelow_known_answers(self, address, draws):
+        seed, path, n = address
+        stream = RandomStream(seed, path)
+        assert [stream.randbelow(n) for _ in draws] == draws
+
+    def test_wide_bound_concatenates_consecutive_digests(self):
+        # Draw c hashes the address and then c as 8 little-endian bytes;
+        # a 600-bit bound takes the top 600 bits of draws 0 and 1.
+        address = b"ce-sampler counter stream 1;4e8c:5,;"
+        digests = [
+            hashlib.blake2b(address + c.to_bytes(8, "little")).digest() for c in range(3)
+        ]
+        stream = RandomStream(20108, (5,))
+        assert stream.randbelow(2**600) == int.from_bytes(digests[0] + digests[1], "big") >> 424
+        assert stream.randbelow(2) == digests[2][0] >> 7
+
+    def test_nested_children_share_an_address(self):
+        flat, nested = RandomStream(5).child(3, 8), RandomStream(5).child(3).child(8)
+        assert flat.path == nested.path == (3, 8)
+        assert [flat.randbelow(10**9) for _ in range(10)] == [nested.randbelow(10**9) for _ in range(10)]
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: RandomStream(1.5), "seed"),
+            (lambda: RandomStream(True), "seed"),
+            (lambda: RandomStream("1"), "seed"),
+            (lambda: RandomStream(1, (2, 1.0)), "path index"),
+            (lambda: RandomStream(1, (False,)), "path index"),
+            (lambda: RandomStream(1).child(True), "path index"),
+        ],
+    )
+    def test_address_accepts_only_ints(self, make, field):
+        with pytest.raises(TypeError, match=f"stream {field} must be an int"):
+            make()
 
 
 class TestHonestFlip:

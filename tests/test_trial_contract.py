@@ -1,9 +1,11 @@
 """Monte Carlo outputs pinned per seed, and party rebinding between runs.
 
-The digests below were taken from the per-trial engine that re-ran every
-announcement and coin request on every trial.  Any engine that draws the
-same coins in the same order must reproduce them byte for byte: index
-counts, per-trial outcomes, CLI reports and transcript logs.
+The digests below pin the counter-based stream of ``ce_sampler.rng``
+(version 1 of its encoding).  They were re-taken when that stream replaced
+the seeded Mersenne Twister, and only after every exact-law check passed
+unedited against it.  Any engine that draws the same coins in the same
+order must reproduce them byte for byte: index counts, per-trial outcomes,
+CLI reports and transcript logs.
 """
 
 import hashlib
@@ -94,28 +96,28 @@ def _counts_digest(counts) -> str:
 
 PINNED = {
     ("3x3", "greedy"): (
-        "36d147a6a2ae4c1a0c1adc4eca1d8934ffe94842f86181f89cdf02fae860941f",
-        "c25c16136d2f51e79d99731ca45b3acb40e182c48f2ac26e4eaf34fba5b7b167",
+        "1288dde1575d5e87331551bb128ddab6a5a833c3e928195cff93a00752af62ad",
+        "820381f82716908c8167c9673bb245202561cedafbaa4fcd3752e70822672f98",
     ),
     ("3x3", "honest"): (
-        "069e0c4a3a80feedb5f5afac3151dc6e55eb73105dda99de05aceb225f05de26",
-        "18474721c59233f15eb87b955c159e8e3fd2fba92adc782ea6cca084cd5a4e56",
+        "be4cbb0a9f0c2f5d92311c3c684acc3e335160b54c68de74476f9df8f7a0b596",
+        "14472df39d9189d9b489a4c7bd8872aef4922177ea1f57b736452f0e8eb97900",
     ),
     ("3x3", "scripted"): (
-        "603f1d8f0426a52ab30d53dbf2039fb465e2d5063be101057e52ac1f6396b063",
-        "be01f7448d7e3cd287772687d2e07111f46795406a65b0cff3e4dc5a69da575e",
+        "8003b9605f351aad308f66725d5232a585e9f25dc2819050430945110b080b44",
+        "cb9cc3ffe9c7d12aa7f128a43e1a732aeccca4cdf6eb0e34c427b0bbe3354a60",
     ),
     ("bos", "greedy"): (
-        "c44ebad1ac118a5826f22ba0fbe07a27262cf59b15469878a19a83df4ab1dc97",
-        "0ca32117bf410293e4a9294fe73d5c306174d76d860680684829a9117abc3278",
+        "78c1bb3dad5d0ae6c776b668b6c33c6981d987dbdeae8aa68d060560f9cf4713",
+        "8fa33ed95555ba1105fe951f6906cf078d59a6bb878bdc762b1d47d0592c7f2a",
     ),
     ("bos", "honest"): (
-        "7975d4186e5b791df7a8c5fe432f8db5da22ee0c2f1843c3d4a9a92807123b08",
-        "41bdbe0e63e1bf5639832edd4c4215b91423495e4925b45afd8c69d22b5a47ee",
+        "671538e9c53dba2a7112ad41cc58c58cbb90bc2cde15c5ed5162642ebdca66da",
+        "2aad3bb8525b3c10b95e84635ac53acd52f5eed99224d201b4a35266f03d63af",
     ),
     ("bos", "scripted"): (
-        "2854df1c1b842a8b3f2082d95dadff5336091ff0d4244ca1a132e1968312e50e",
-        "9560ccd6be16af540f34f56b4376dc3f13ea123f1f97fb6b923fd2ae7687df32",
+        "f2640f9279060d936a8e1456b3ddda17dac2bc28c66a3ee55587d463b7ec679e",
+        "ae0f7454b2daa2598594e6bdf1a6aaf157127a047cbfd4e0556a1f055462a830",
     ),
 }
 
@@ -144,9 +146,9 @@ def test_trial_outputs_are_pinned(label, kind, bos, bos_fair_ce):
 
 
 CLI_PINNED = {
-    "run": "0eb0c42258e08afdb50009855a962acfd63ff15c0a03b3e649d2f7b878522cf5",
-    "play": "381bc1ce64efac36c0ebb003c4470a5526373c4ff417d5a5f81a5f5dd74baa2b",
-    "transcript": "268a6a7be6880a5c38fbfa21c87ad2259ff9dca574a35b260257cc51bb9919d9",
+    "run": "320bdeab9c53a70080c367226e21236ac51218f45c007bdbb6452be01b9d6100",
+    "play": "92243532ff2c3e43219b0a306ec17dfd2b6d1ee795afef5bf821dd498acdf1bf",
+    "transcript": "cb600b745987bccae4a99819cae2c8cf45571077e18c9892bbdb26931542ed39",
 }
 
 
