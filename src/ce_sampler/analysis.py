@@ -47,13 +47,25 @@ analysis is parameterized by four power levels:
 
 The payoff-optimal policy within each class is bang-bang over the
 reachable endpoints, so exact backward induction computes worst cases
-outright.  The tree is held as level arrays in heap order: entry j of
-level m is the node ``index_to_bits(j, m)``, its children are entries 2j
-and 2j + 1 of level m + 1, and level k is the emulation table.
-Preferences come a level at a time from the oracle's preference table.
-Two passes do all the work: a top-down pass carries mass to the leaves
-under one steering weight per node (honest play, or any policy), and a
-bottom-up pass runs the backward induction.
+outright.  Steering weights are held as level arrays in heap order:
+entry j of level m is the node ``index_to_bits(j, m)``, its children are
+entries 2j and 2j + 1 of level m + 1, and level k is the emulation table.
+Preferences come from the oracle's preference tables.
+
+The tree is run-length.  A node is *mixed* when a run of equal table
+entries starts strictly inside its block (see
+:class:`~ce_sampler.emulation.PreferenceOracle`).  Every leaf under any
+other node is the same cell, so both players prefer 0, honest play
+agrees (w = 0), every class's optimum keeps that honest-equivalent
+weight, and the block is worth its cell's value.  The weight levels
+therefore start filled with w = 0 and are patched at mixed nodes, and
+the bottom-up backward induction visits the mixed nodes only, holding
+their values in a dict keyed by index.  There are at most (R - 1) * k
+of them for R runs; :func:`~ce_sampler.emulation.emulate` lays each cell
+out contiguously, so R is at most the number of cells.  A hand-built
+table may interleave its cells, and then up to every node is mixed.  A
+top-down pass carries mass to the leaves under one steering weight per
+node (honest play, or any policy), visiting only nodes of positive mass.
 
 Both passes run in ints over common denominators.  Leaf utilities are
 numerators over the oracle's per-player scale D.  The backward induction
@@ -95,14 +107,6 @@ AdversaryPolicy = dict[BitPrefix, Fraction]  # prefix -> P[next bit != honest-pr
 Weights = list[list[Fraction]]  # level m, node j -> steering weight
 
 POWERS = ("bias-only", "truthful", "unrestricted", "checked")
-
-
-def _honest_weights(bits1: list[list[int]], bits2: list[list[int]]) -> Weights:
-    """Honest play in steering coordinates: w = 0 at agreements, 1/2 at coins."""
-    return [
-        [ZERO if b1 == b2 else HALF for b1, b2 in zip(level1, level2)]
-        for level1, level2 in zip(bits1, bits2)
-    ]
 
 
 @dataclass(frozen=True)
@@ -240,14 +244,15 @@ class _Tree:
     One oracle and one set of preferred bits per level serve every pass.
     They are built on first use, so arguments are checked before any tree
     work.  Values stay ints over common denominators inside the passes
-    and become ``Fraction``s only on the way out.
+    and become ``Fraction``s only on the way out.  Only the oracle's mixed
+    nodes are visited one by one; every other node holds w = 0, which
+    honest play and every optimum share there (see the module docstring).
     """
 
     def __init__(self, em: MultisetEmulation, game: Game):
         self.em = em
         self.game = game
         self.k = em.k
-        self._values: dict[int, list[int]] = {}
 
     @cached_property
     def oracle(self) -> PreferenceOracle:
@@ -263,22 +268,28 @@ class _Tree:
 
     @cached_property
     def honest_weights(self) -> Weights:
-        return _honest_weights(self.bits[1], self.bits[2])
+        """Honest play in steering coordinates: w = 0 at agreements, 1/2 at coins.
+
+        Both players prefer 0 at a node that is not mixed, so only a mixed
+        node can be a coin.
+        """
+        weights = [[ZERO] * (1 << m) for m in range(self.k)]
+        table1, table2 = self.oracle.preferred_table(1), self.oracle.preferred_table(2)
+        for m, nodes in enumerate(self.oracle.mixed_nodes):
+            for j in nodes:
+                if table1[(1 << m) | j] != table2[(1 << m) | j]:
+                    weights[m][j] = HALF
+        return weights
 
     @cached_property
     def honest_leaves(self) -> _Leaves:
         return _leaf_masses(self.bits[1], self.honest_weights)
 
-    def leaf_values(self, player: int, floor_zero: bool = False) -> list[int]:
-        """``player``'s utility at every leaf, over ``oracle.scale(player)``."""
-        values = self._values.get(player)
-        if values is None:
-            values = self._values[player] = self.oracle.leaf_numerators(player)
-        return [v if v > 0 else 0 for v in values] if floor_zero else values
-
     def expectation(self, leaves: _Leaves, player: int, floor_zero: bool = False) -> Fraction:
-        values = self.leaf_values(player, floor_zero)
-        total = sum(mass * values[i] for _, i, mass in leaves.entries)
+        numerators, table = self.oracle.numerators(player), self.em.table
+        if floor_zero:
+            numerators = {cell: max(v, 0) for cell, v in numerators.items()}
+        total = sum(mass * numerators[table[i]] for _, i, mass in leaves.entries)
         return Fraction(total, leaves.denominator * self.oracle.scale(player))
 
     def leaves(self, weights: Weights, dishonest: int) -> _Leaves:
@@ -293,6 +304,13 @@ class _Tree:
         candidate weights are numerators over their common denominator L,
         so level m holds values over ``D * L**(k - m)``.  A min-opponent
         pass negates the leaves and maximizes.
+
+        Only mixed nodes are visited, bottom-up.  At any other node both
+        players prefer 0 and its children are worth the same, so the scan
+        keeps its first agreeing candidate (the fill, w = 0) and a block of
+        height h is worth its cell's leaf value times ``L**h``.  That value
+        never needs the checked lie's floor, because a max-own leaf is at
+        least zero.
         """
         honest = _check_players(dishonest)
         if bias < 0 or bias >= HALF:
@@ -300,10 +318,10 @@ class _Tree:
         candidates = {agrees: _steering_candidates(power, bias, agrees) for agrees in (False, True)}
         if objective == "max-own":
             player, sign = dishonest, 1
-            values = self.leaf_values(dishonest, floor_zero=True)
+            leaf = {cell: max(v, 0) for cell, v in self.oracle.numerators(dishonest).items()}
         elif objective == "min-opponent":
             player, sign = honest, -1
-            values = [-v for v in self.leaf_values(honest)]
+            leaf = {cell: -v for cell, v in self.oracle.numerators(honest).items()}
         else:
             raise ValueError(f"unknown objective {objective!r}")
         checked_lie = power == "checked" and objective == "max-own"
@@ -313,24 +331,40 @@ class _Tree:
             for gain_sign in (-1, 0, 1):
                 w = _strict_scan(options, gain_sign)
                 picks[agrees, gain_sign] = (w, w.numerator * (scale // w.denominator))
-        honest_bits, dishonest_bits = self.bits[honest], self.bits[dishonest]
-        weights: Weights = [[] for _ in range(self.k)]
+        honest_bits = self.oracle.preferred_table(honest)
+        dishonest_bits = self.oracle.preferred_table(dishonest)
+        table, k = self.em.table, self.k
+        units = [scale**h for h in range(k + 1)]  # L**h: a leaf value lifted h levels
+        fill = picks[True, 0][0]
+        weights: Weights = [[fill] * (1 << m) for m in range(k)]
 
-        # Bottom-up pass: ``values`` holds the optimal values of level m + 1.
-        for m in reversed(range(self.k)):
-            level_values, level_weights = [], weights[m]
-            for j, (b_h, b_d) in enumerate(zip(honest_bits[m], dishonest_bits[m])):
-                v_honest_side = values[2 * j + b_h]
-                gain = values[2 * j + 1 - b_h] - v_honest_side
-                w, numerator = picks[b_d == b_h, (gain > 0) - (gain < 0)]
+        # Bottom-up pass over the mixed nodes: ``below`` holds the optimal
+        # values of the mixed nodes of level m + 1, keyed by index.
+        below: dict[int, int] = {}
+        for m in reversed(range(k)):
+            height = k - m - 1  # of the children
+            unit, level_values, level_weights = units[height], {}, weights[m]
+            for j in self.oracle.mixed_nodes[m]:
+                node = (1 << m) | j
+                b_h = honest_bits[node]
+                child = 2 * j + b_h
+                v_honest_side = below.get(child)
+                if v_honest_side is None:
+                    v_honest_side = leaf[table[child << height]] * unit
+                v_other_side = below.get(child ^ 1)
+                if v_other_side is None:
+                    v_other_side = leaf[table[(child ^ 1) << height]] * unit
+                gain = v_other_side - v_honest_side
+                w, numerator = picks[dishonest_bits[node] == b_h, (gain > 0) - (gain < 0)]
                 value = scale * v_honest_side + numerator * gain
                 if checked_lie and value < 0:
                     value = 0  # lie and be rejected
-                level_values.append(value)
-                level_weights.append(w)
-            values = level_values
+                level_values[j] = value
+                level_weights[j] = w
+            below = level_values
 
-        value = Fraction(sign * values[0], self.oracle.scale(player) * scale**self.k)
+        root = below[0] if below else leaf[table[0]] * units[k]
+        value = Fraction(sign * root, self.oracle.scale(player) * units[k])
         return value, weights
 
     def worst_case(

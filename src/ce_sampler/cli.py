@@ -219,10 +219,19 @@ def _run_trials(game, p, em, config, args, mode: str) -> tuple[dict, list[str] |
 
 
 def _prepare(args) -> tuple[Game, JointDistribution, MultisetEmulation, ProtocolConfig]:
-    """The game, its selected equilibrium, the emulation and the round plan."""
+    """The game, its selected equilibrium, the emulation and the round plan.
+
+    ``--epsilon`` is checked against the round count before any work, so a
+    per-round coin bias epsilon/(2k) of 1/2 or more is reported as a flag error.
+    """
     game = parse_game_file(args.game)
-    p = solve_ce(game, CeObjective.from_string(args.objective))
     config = ProtocolConfig.plan(game, as_fraction(args.epsilon), as_fraction(args.delta))
+    if config.per_round_bias >= Fraction(1, 2):
+        raise ValueError(
+            f"--epsilon {args.epsilon} is too large for k = {config.k} rounds: the per-round "
+            f"coin bias epsilon/(2k) must be below 1/2, so --epsilon must be below {config.k}"
+        )
+    p = solve_ce(game, CeObjective.from_string(args.objective))
     return game, p, emulate(game, p, config.delta), config
 
 

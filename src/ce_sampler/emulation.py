@@ -13,10 +13,13 @@ announcements are computed from.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, compress, count, islice
 from math import lcm
+from operator import mul, ne
 from typing import Mapping, Sequence
 
 from .games import ZERO, Game, JointDistribution, JointStrategy, as_fraction
@@ -60,6 +63,10 @@ class MultisetEmulation:
     delta: Fraction
 
     def __post_init__(self) -> None:
+        if not isinstance(self.k, int) or isinstance(self.k, bool):
+            raise TypeError(f"k must be an int, got {self.k!r}")
+        if self.k < 0:
+            raise ValueError(f"k must be at least 0, got {self.k}")
         if len(self.table) != 1 << self.k:
             raise ValueError("table length must be exactly 2^k")
 
@@ -124,47 +131,90 @@ def emulate(
 
 
 class PreferenceOracle:
-    """Constant-time conditional payoff queries over an emulation table.
+    """Conditional payoff queries over an emulation table, O(log R) per block sum.
+
+    A *run* is a maximal stretch of equal consecutive table entries, and R
+    is the number of runs.  :func:`emulate` lays each cell's copies out
+    contiguously, so R is at most the number of cells, but a hand-built
+    table may hold up to 2^k runs.  The runs are found on first use.
 
     Per player, the utilities of the table's distinct cells are scaled by
-    the lcm of their denominators, so the cumulative sums over the leaf
-    payoffs are ints.  Prefix blocks at the same depth all have the same
-    width, so comparing two integer block sums compares the branches; a
-    ``Fraction`` is built only when a sum or an expectation is requested.
+    the lcm of their denominators, so sums over leaf payoffs are ints, and
+    the sums are kept only at run starts: a block sum is one bisect over
+    the run starts per end.  Prefix blocks at the same depth all have the
+    same width, so comparing two integer block sums compares the branches;
+    a ``Fraction`` is built only when a sum or an expectation is requested.
 
     Each player's preferences form one table of preferred next bits, one
     per internal node of the round tree in heap order (the root is 1, the
-    children of h are 2h and 2h + 1; entry 0 is unused).  It is built on
-    first use, and every preference query reads it.
+    children of h are 2h and 2h + 1; entry 0 is unused).  A node is
+    *mixed* when a run starts strictly inside its block.  Every leaf of a
+    block that is not mixed is the same cell, so its two halves tie and
+    its entry is 0; the rule is evaluated only at mixed nodes.  The table
+    is built on first use, and every preference query reads it.
     """
 
     def __init__(self, em: MultisetEmulation, game: Game):
         self.em = em
         self.game = game
         self.k = em.k
-        self._scales: dict[int, int] = {}
-        self._numerators: dict[int, dict[JointStrategy, int]] = {}
-        self._cums: dict[int, list[int]] = {}
         self._tables: dict[int, list[int]] = {}
-        cells = dict.fromkeys(em.table)
+
+    @cached_property
+    def _runs(self) -> tuple[list[int], list[JointStrategy]]:
+        """The start index and the cell of every run, in table order."""
+        table = self.em.table
+        starts = [0, *compress(count(1), map(ne, islice(table, 1, None), table))]
+        return starts, [table[start] for start in starts]
+
+    @cached_property
+    def mixed_nodes(self) -> list[list[int]]:
+        """The mixed nodes of each internal level m, as ascending indices within the level.
+
+        Node j of level m covers the leaves ``[j << (k - m), (j + 1) << (k - m))``,
+        so a run start b lies strictly inside the block of node ``b >> (k - m)``
+        unless its low ``k - m`` bits are all 0.
+        """
+        boundaries = self._runs[0][1:]
+        levels = []
+        for m in range(self.k):
+            shift = self.k - m
+            mask = (1 << shift) - 1
+            levels.append(list(dict.fromkeys(b >> shift for b in boundaries if b & mask)))
+        return levels
+
+    @cached_property
+    def _scaled(self) -> dict[int, tuple[int, dict[JointStrategy, int], list[int], list[int]]]:
+        """Per player: the scale, each cell's utility times it, and per run its
+        leaf numerator and the sum of the numerators before it."""
+        starts, cells = self._runs
+        widths = [end - start for start, end in zip(starts, [*starts[1:], self.em.size])]
+        out = {}
         for player in (1, 2):
-            utilities = {cell: game.utility(player, cell) for cell in cells}
+            utilities = {cell: self.game.utility(player, cell) for cell in dict.fromkeys(cells)}
             scale = lcm(*(u.denominator for u in utilities.values()))
             numerators = {
                 cell: u.numerator * (scale // u.denominator) for cell, u in utilities.items()
             }
-            self._scales[player] = scale
-            self._numerators[player] = numerators
-            self._cums[player] = list(accumulate((numerators[c] for c in em.table), initial=0))
+            values = [numerators[cell] for cell in cells]
+            befores = list(accumulate(map(mul, widths, values), initial=0))
+            out[player] = scale, numerators, values, befores
+        return out
 
     def scale(self, player: int) -> int:
         """The common denominator of ``player``'s utilities over the table."""
-        return self._scales[player]
+        return self._scaled[player][0]
 
-    def leaf_numerators(self, player: int) -> list[int]:
-        """``player``'s utility at every table entry, times ``scale(player)``."""
-        numerators = self._numerators[player]
-        return [numerators[cell] for cell in self.em.table]
+    def numerators(self, player: int) -> dict[JointStrategy, int]:
+        """``player``'s utility at each cell of the table, times ``scale(player)``."""
+        return self._scaled[player][1]
+
+    def _leading_sum(self, player: int, n: int) -> int:
+        """The utility sum over the first ``n`` leaves, times ``scale(player)``."""
+        starts = self._runs[0]
+        _, _, values, befores = self._scaled[player]
+        r = bisect_right(starts, n) - 1
+        return befores[r] + (n - starts[r]) * values[r]
 
     def _block(self, prefix: BitPrefix) -> tuple[int, int]:
         m = len(prefix)
@@ -177,17 +227,16 @@ class PreferenceOracle:
     def _scaled_sum(self, player: int, prefix: BitPrefix) -> tuple[int, int]:
         """The block's utility sum times ``scale(player)``, and the block's width."""
         lo, hi = self._block(prefix)
-        cums = self._cums[player]
-        return cums[hi] - cums[lo], hi - lo
+        return self._leading_sum(player, hi) - self._leading_sum(player, lo), hi - lo
 
     def block_sum(self, player: int, prefix: BitPrefix) -> Fraction:
         total, _ = self._scaled_sum(player, prefix)
-        return Fraction(total, self._scales[player])
+        return Fraction(total, self.scale(player))
 
     def conditional_expected(self, player: int, prefix: BitPrefix, next_bit: int) -> Fraction:
         """Average payoff over the table block selected by prefix + next_bit."""
         total, width = self._scaled_sum(player, tuple(prefix) + (next_bit,))
-        return Fraction(total, self._scales[player] * width)
+        return Fraction(total, self.scale(player) * width)
 
     def preferred_table(self, player: int) -> list[int]:
         """``player``'s preferred next bit at every internal node, in heap order.
@@ -195,17 +244,19 @@ class PreferenceOracle:
         The two children of a node cover equal-width blocks, so comparing
         their integer sums compares the conditional expectations.  This is
         the preference rule, and the only place it is written: ties prefer 0.
+        Nodes that are not mixed tie, so only mixed nodes are compared.
         """
         table = self._tables.get(player)
         if table is None:
-            cums = self._cums[player]
-            table = [0]
-            for m in range(self.k):
+            table = [0] * (1 << self.k)
+            for m, nodes in enumerate(self.mixed_nodes):
                 half = 1 << (self.k - m - 1)
-                ends, mids = cums[:: 2 * half], cums[half :: 2 * half]
-                table.extend(
-                    0 if mid - lo >= hi - mid else 1 for lo, mid, hi in zip(ends, mids, ends[1:])
-                )
+                for j in nodes:
+                    lo = 2 * j * half
+                    start, mid, end = (
+                        self._leading_sum(player, n) for n in (lo, lo + half, lo + 2 * half)
+                    )
+                    table[(1 << m) | j] = 0 if mid - start >= end - mid else 1
             self._tables[player] = table
         return table
 

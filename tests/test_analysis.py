@@ -1,10 +1,13 @@
 """Exact adversary analysis: honest runs, worst cases, bounds, counterexamples."""
 
+import collections
 import hashlib
 import itertools
 import random
 import re
 from fractions import Fraction as F
+from functools import cached_property
+from math import lcm
 
 import pytest
 
@@ -13,6 +16,7 @@ from ce_sampler import (
     HonestParty,
     JointDistribution,
     JointStrategy,
+    MultisetEmulation,
     PolicyParty,
     ProtocolConfig,
     RandomStream,
@@ -20,6 +24,7 @@ from ce_sampler import (
     normalize,
     simulate_outputs,
 )
+from ce_sampler import analysis
 from ce_sampler.acceptance import battery
 from ce_sampler.analysis import (
     POWERS,
@@ -32,7 +37,7 @@ from ce_sampler.analysis import (
     verify_payoff_guarantees,
     worst_case_adversary,
 )
-from ce_sampler.emulation import PreferenceOracle, l1_distance
+from ce_sampler.emulation import PreferenceOracle, index_to_bits, l1_distance
 from conftest import random_distribution, random_rational_game
 
 HALF = F(1, 2)
@@ -531,3 +536,231 @@ def test_analysis_outputs_are_pinned():
             )
         digest.update(repr(record).encode())
     assert digest.hexdigest() == ANALYSIS_FINGERPRINT
+
+
+# ---------------------------------------------------------------------------
+# The run-length engine against a dense reference, on tables of any layout
+# ---------------------------------------------------------------------------
+
+
+def dense_leaf_numerators(em, game, player):
+    """``player``'s utility at every table entry over one common denominator."""
+    utilities = [game.utility(player, cell) for cell in em.table]
+    scale = lcm(*(u.denominator for u in utilities))
+    return [u.numerator * (scale // u.denominator) for u in utilities], scale
+
+
+def dense_preferred_table(em, game, player):
+    """The tie-prefers-0 rule at every internal node, from the full leaf cumsum."""
+    cums = list(itertools.accumulate(dense_leaf_numerators(em, game, player)[0], initial=0))
+    table = [0]
+    for m in range(em.k):
+        half = 1 << (em.k - m - 1)
+        ends, mids = cums[:: 2 * half], cums[half :: 2 * half]
+        table.extend(0 if mid - lo >= hi - mid else 1 for lo, mid, hi in zip(ends, mids, ends[1:]))
+    return table
+
+
+class DenseTree(analysis._Tree):
+    """The round tree held as full level arrays: every node is visited.
+
+    It reads no oracle.  Preferences come from the full leaf cumsum, and
+    the backward induction sweeps every node of every level, so it costs
+    O(2^k) whatever the table's layout.
+    """
+
+    @property
+    def oracle(self):
+        raise AssertionError("the dense reference reads no oracle")
+
+    @cached_property
+    def bits(self):
+        tables = {p: dense_preferred_table(self.em, self.game, p) for p in (1, 2)}
+        return {p: [t[1 << m : 2 << m] for m in range(self.k)] for p, t in tables.items()}
+
+    @cached_property
+    def honest_weights(self):
+        return [
+            [F(0) if b1 == b2 else HALF for b1, b2 in zip(level1, level2)]
+            for level1, level2 in zip(self.bits[1], self.bits[2])
+        ]
+
+    def expectation(self, leaves, player, floor_zero=False):
+        values, scale = dense_leaf_numerators(self.em, self.game, player)
+        if floor_zero:
+            values = [max(v, 0) for v in values]
+        total = sum(mass * values[i] for _, i, mass in leaves.entries)
+        return F(total, leaves.denominator * scale)
+
+    def backward_induction(self, bias, dishonest, power, objective):
+        honest = analysis._check_players(dishonest)
+        if bias < 0 or bias >= HALF:
+            raise ValueError("bias must satisfy 0 <= bias < 1/2")
+        candidates = {
+            agrees: analysis._steering_candidates(power, bias, agrees) for agrees in (False, True)
+        }
+        if objective == "max-own":
+            player, sign = dishonest, 1
+            values, d = dense_leaf_numerators(self.em, self.game, dishonest)
+            values = [max(v, 0) for v in values]
+        elif objective == "min-opponent":
+            player, sign = honest, -1
+            values, d = dense_leaf_numerators(self.em, self.game, honest)
+            values = [-v for v in values]
+        else:
+            raise ValueError(f"unknown objective {objective!r}")
+        checked_lie = power == "checked" and objective == "max-own"
+        scale = lcm(*(w.denominator for options in candidates.values() for w in options))
+        picks = {}
+        for agrees, options in candidates.items():
+            for gain_sign in (-1, 0, 1):
+                w = analysis._strict_scan(options, gain_sign)
+                picks[agrees, gain_sign] = (w, w.numerator * (scale // w.denominator))
+        honest_bits, dishonest_bits = self.bits[honest], self.bits[dishonest]
+        weights = [[] for _ in range(self.k)]
+        for m in reversed(range(self.k)):
+            level_values, level_weights = [], weights[m]
+            for j, (b_h, b_d) in enumerate(zip(honest_bits[m], dishonest_bits[m])):
+                v_honest_side = values[2 * j + b_h]
+                gain = values[2 * j + 1 - b_h] - v_honest_side
+                w, numerator = picks[b_d == b_h, (gain > 0) - (gain < 0)]
+                value = scale * v_honest_side + numerator * gain
+                if checked_lie and value < 0:
+                    value = 0
+                level_values.append(value)
+                level_weights.append(w)
+            values = level_values
+        return F(sign * values[0], d * scale**self.k), weights
+
+
+def signed_game(rng, rows, cols):
+    """Payoffs of both signs over unrelated denominators."""
+
+    def matrix():
+        return [
+            [F(rng.randint(-12, 12), rng.choice([1, 2, 3, 7])) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+
+    return Game.from_payoffs(matrix(), matrix())
+
+
+def hand_built(k, table):
+    """A ``MultisetEmulation`` of any layout; its source is the table's own law."""
+    counts = collections.Counter(table)
+    source = JointDistribution({cell: F(n, len(table)) for cell, n in counts.items()})
+    return MultisetEmulation(k=k, table=tuple(table), source=source, delta=F(1, 2))
+
+
+def layouts():
+    """(game, emulation) cases over tables that are and are not contiguous."""
+    rng = random.Random(61)
+    game = signed_game(rng, 2, 3)
+    cells = list(game.cells())
+    yield pytest.param(game, hand_built(4, [cells[i % 2] for i in range(16)]), id="alternating")
+    yield pytest.param(game, hand_built(5, [cells[i % 3] for i in range(32)]), id="alternating-3")
+    for rows, cols in ((2, 2), (2, 3), (3, 3)):
+        g = signed_game(rng, rows, cols)
+        contiguous = emulate(g, random_distribution(rng, list(g.cells())), F(1, 4))
+        shuffled = list(contiguous.table)
+        rng.shuffle(shuffled)
+        yield pytest.param(g, hand_built(contiguous.k, shuffled), id=f"shuffled-{rows}x{cols}")
+        order = list(g.cells())
+        rng.shuffle(order)
+        p = random_distribution(rng, order)
+        yield pytest.param(g, emulate(g, p, F(1, 4), order=order), id=f"ordered-{rows}x{cols}")
+    yield pytest.param(game, hand_built(3, [cells[4]] * 8), id="one-run")
+    yield pytest.param(game, hand_built(0, [cells[1]]), id="k0")
+    yield pytest.param(game, hand_built(1, [cells[2]] * 2), id="k1-one-run")
+    yield pytest.param(game, hand_built(1, [cells[2], cells[5]]), id="k1-two-runs")
+    yield pytest.param(game, hand_built(4, [cells[0]] * 5 + [cells[3]] * 11), id="one-boundary")
+
+
+def prefixes_of(k):
+    return [prefix for m in range(k) for prefix in itertools.product((0, 1), repeat=m)]
+
+
+@pytest.fixture
+def dense(monkeypatch):
+    """Run a call once on the run-length engine and once on the dense reference."""
+
+    def both(fn, *args, **kwargs):
+        fast = fn(*args, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "_Tree", DenseTree)
+            slow = fn(*args, **kwargs)
+        return fast, slow
+
+    return both
+
+
+class TestRunLengthEngine:
+    """Every output equals the dense engine's, policies in the same order."""
+
+    @pytest.mark.parametrize("game, em", layouts())
+    def test_oracle_matches_full_cumsum(self, game, em):
+        oracle = PreferenceOracle(em, game)
+        for player in (1, 2):
+            assert oracle.preferred_table(player) == dense_preferred_table(em, game, player)
+            leaf = [game.utility(player, cell) for cell in em.table]
+            for m in range(em.k + 1):
+                width = 1 << (em.k - m)
+                for j in range(1 << m):
+                    prefix = index_to_bits(j, m)
+                    block = leaf[j * width : (j + 1) * width]
+                    assert oracle.block_sum(player, prefix) == sum(block, F(0))
+        for m, nodes in enumerate(oracle.mixed_nodes):
+            width = 1 << (em.k - m)
+            assert nodes == [
+                j for j in range(1 << m) if len(set(em.table[j * width : (j + 1) * width])) > 1
+            ]
+
+    @pytest.mark.parametrize("game, em", layouts())
+    def test_worst_cases_match(self, game, em, dense):
+        fast, slow = dense(honest_output_distribution, em, game)
+        assert fast == slow
+        fast, slow = dense(honest_policy, em, game)
+        assert list(fast.items()) == list(slow.items())
+        for power, objective, cheater in itertools.product(
+            POWERS, ("max-own", "min-opponent"), (1, 2)
+        ):
+            fast, slow = dense(worst_case_adversary, em, game, F(1, 40), cheater, power, objective)
+            assert fast == slow, (power, objective, cheater)
+            assert list(fast.policy.items()) == list(slow.policy.items())
+            assert list(fast.leaf_distribution.items()) == list(slow.leaf_distribution.items())
+
+    @pytest.mark.parametrize("game, em", layouts())
+    def test_scripted_weights_off_the_mixed_nodes(self, game, em, dense):
+        rng = random.Random(67)
+        mixed = {
+            index_to_bits(j, m)
+            for m, nodes in enumerate(PreferenceOracle(em, game).mixed_nodes)
+            for j in nodes
+        }
+        nodes = prefixes_of(em.k)
+        plain = [prefix for prefix in nodes if prefix not in mixed]
+        weights = [F(0), F(1, 3), HALF, F(5, 7), F(1)]
+        policies = [{prefix: rng.choice(weights) for prefix in plain} for _ in range(3)]
+        policies.append({prefix: rng.choice(weights) for prefix in nodes})
+        for policy in policies:
+            for cheater, objective in itertools.product((1, 2), ("max-own", "min-opponent")):
+                fast, slow = dense(policy_outcome, em, game, policy, cheater, objective)
+                assert fast == slow
+                assert list(fast.policy.items()) == list(slow.policy.items())
+
+    @pytest.mark.parametrize("game, em", layouts())
+    def test_verifiers_match(self, game, em, dense):
+        epsilon = F(1, 10)
+        config = ProtocolConfig(epsilon, em.delta, em.k)
+        for power in POWERS:
+            for cheater in (1, 2):
+                fast, slow = dense(verify_distance_bounds, em, game, epsilon, cheater, power=power)
+                assert fast == slow, (power, cheater)
+                assert list(fast.policy.items()) == list(slow.policy.items())
+            fast, slow = dense(verify_payoff_guarantees, em, game, config, power)
+            assert fast == slow, power
+        scripted = {prefix: F(1, 3) for prefix in prefixes_of(em.k)}
+        fast, slow = dense(verify_distance_bounds, em, game, epsilon, 2, policy=scripted)
+        assert fast == slow
+        fast, slow = dense(truthful_announcements_optimal, em, game, epsilon)
+        assert fast == slow

@@ -216,6 +216,18 @@ def test_bad_job_count_is_rejected(command, jobs, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["analyze", "run", "play"])
+def test_too_large_epsilon_names_the_flag(command, capsys):
+    # bos at the default delta has k = 3 rounds, so the per-round bias
+    # epsilon/(2k) reaches 1/2 at epsilon = 3.
+    for epsilon in ("3", "4"):
+        assert run_cli(command, "--game", BOS, "--objective", "max-fair", "--epsilon", epsilon) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # not even a seed line
+        assert f"--epsilon {epsilon}" in captured.err and "k = 3" in captured.err
+        assert "bias must satisfy" not in captured.err
+
+
 @pytest.mark.parametrize("value, code", [("2", 0), ("0", 2), ("-3", 2), ("two", 2)])
 def test_jobs_default_from_environment_is_checked(value, code, monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("CE_SAMPLER_JOBS", value)

@@ -9,6 +9,7 @@ from ce_sampler import (
     Game,
     JointDistribution,
     JointStrategy,
+    MultisetEmulation,
     PreferenceOracle,
     emulate,
     expected_utility,
@@ -96,6 +97,15 @@ class TestEmulate:
     def test_rejects_nonpositive_budget(self, bos, bos_fair_ce):
         with pytest.raises(ValueError):
             emulate(bos, bos_fair_ce, F(-1, 2))
+
+    @pytest.mark.parametrize("k, error", [(-1, ValueError), (-3, ValueError), (1.0, TypeError),
+                                          ("2", TypeError), (True, TypeError), (None, TypeError)])
+    def test_rejects_a_bad_round_count(self, bos_fair_ce, k, error):
+        cell = JointStrategy(0, 0)
+        with pytest.raises(error, match=r"^k must be"):
+            MultisetEmulation(k=k, table=(cell,), source=bos_fair_ce, delta=F(1))
+        with pytest.raises(ValueError, match="2\\^k"):
+            MultisetEmulation(k=2, table=(cell,), source=bos_fair_ce, delta=F(1))
 
 
 class TestConditionals:
