@@ -33,7 +33,6 @@ from typing import Callable
 from .analysis import (
     deviation_gain_bound_holds,
     honest_output_distribution,
-    leaf_expectation,
     verify_distance_bounds,
     verify_payoff_guarantees,
     worst_case_adversary,
@@ -327,16 +326,13 @@ def _check_payoff_guarantees() -> str:
 @_criterion("deviation_gain_battery", budget=60.0)
 def _check_deviation_gains() -> str:
     failures = []
-    for case in battery():
-        norm = normalize(case.game)
-        p_h = honest_output_distribution(case.em, norm)
+    for case, verdicts in zip(battery(), battery_payoff_verdicts()):
         for dishonest in (1, 2):
             if not deviation_gain_bound_holds(case.em, case.game, case.config, dishonest):
                 failures.append((case.index, dishonest, "gain"))
         for player in (1, 2):
-            sigma_payoff = leaf_expectation(case.em, norm, p_h, player)
-            source_payoff = expected_utility(norm, case.p, player)
-            if sigma_payoff < source_payoff - case.config.delta:
+            # ``case.em.source`` is ``case.p``: the honest-vs-honest floor.
+            if not verdicts[f"honest_payoff_preserved_p{player}"]:
                 failures.append((case.index, player, "honest-vs-honest floor"))
     assert not failures, f"deviation bound failures: {failures[:5]}"
     return f"honest play is an epsilon-best response on all {len(battery())} cases"

@@ -47,36 +47,40 @@ analysis is parameterized by four power levels:
 
 The payoff-optimal policy within each class is bang-bang over the
 reachable endpoints, so exact backward induction computes worst cases
-outright.  Steering weights are held as level arrays in heap order:
-entry j of level m is the node ``index_to_bits(j, m)``, its children are
-entries 2j and 2j + 1 of level m + 1, and level k is the emulation table.
-Preferences come from the oracle's preference tables.
+outright.  Inside the passes a node is named by its heap index alone:
+the root is 1, the children of h are 2h and 2h + 1, the node of prefix
+``bits`` at depth m is ``2**m + bits_to_index(bits)``, and leaf
+``2**k + i`` is table entry i.  Steering weights are held as a heap-index
+map in which a missing node has w = 0, and preferences come from the
+oracle's heap-ordered preference tables.  Prefixes are built only at the
+public boundary: policies and leaf distributions.
 
 The tree is run-length.  A node is *mixed* when a run of equal table
 entries starts strictly inside its block (see
 :class:`~ce_sampler.emulation.PreferenceOracle`).  Every leaf under any
 other node is the same cell, so both players prefer 0, honest play
 agrees (w = 0), every class's optimum keeps that honest-equivalent
-weight, and the block is worth its cell's value.  The weight levels
-therefore start filled with w = 0 and are patched at mixed nodes, and
-the bottom-up backward induction visits the mixed nodes only, holding
-their values in a dict keyed by index.  There are at most (R - 1) * k
-of them for R runs; :func:`~ce_sampler.emulation.emulate` lays each cell
-out contiguously, so R is at most the number of cells.  A hand-built
-table may interleave its cells, and then up to every node is mixed.  A
-top-down pass carries mass to the leaves under one steering weight per
-node (honest play, or any policy), visiting only nodes of positive mass.
+weight, and the block is worth its cell's value.  The weight maps
+therefore need keys at mixed nodes only, and the backward induction makes
+one descending, so bottom-up, pass over the oracle's ascending list of
+mixed nodes, holding their values in a dict keyed by heap index.  There
+are at most (R - 1) * k of them for R runs;
+:func:`~ce_sampler.emulation.emulate` lays each cell out contiguously, so
+R is at most the number of cells.  A hand-built table may interleave its
+cells, and then up to every node is mixed.  A top-down pass carries mass
+to the leaves under one steering weight per node (honest play, or any
+policy), visiting only nodes of positive mass.
 
 Both passes run in ints over common denominators.  Leaf utilities are
 numerators over the oracle's per-player scale D.  The backward induction
 writes each candidate weight as a numerator over the candidates' common
-denominator L, so level m holds values over D * L**(k - m).  The top-down
-pass scales each level's weights by the lcm of their denominators, and a
-mass is its numerator over the product of those scales.  ``Fraction``s
-are built only for the returned values, weights and positive leaves, so
-every result is the same exact rational as one computed in Fractions
-throughout.  Each verifier asks all its questions of one tree, which
-builds one oracle and one set of per-level preferred bits.
+denominator L, so a node at depth m holds a value over D * L**(k - m).
+The top-down pass scales each level's weights by the lcm of their
+denominators, and a mass is its numerator over the product of those
+scales.  ``Fraction``s are built only for the returned values, weights
+and positive leaves, so every result is the same exact rational as one
+computed in Fractions throughout.  Each verifier asks all its questions
+of one tree, which builds one oracle and its two preference tables.
 
 The verifier functions compare results against the contract bounds with
 zero tolerance and report failed verdicts rather than raising: for the
@@ -90,10 +94,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import lcm
 from typing import Literal, Mapping
 
-from .emulation import BitPrefix, MultisetEmulation, PreferenceOracle, bits_to_index
+from .emulation import BitPrefix, MultisetEmulation, PreferenceOracle, bits_to_index, index_to_bits
 from .games import ZERO, Game, expected_utility, normalize
 from .protocol import ProtocolConfig, check_policy, round_bias
 
@@ -104,7 +109,7 @@ Objective = Literal["max-own", "min-opponent"]
 
 LeafDistribution = dict[BitPrefix, Fraction]
 AdversaryPolicy = dict[BitPrefix, Fraction]  # prefix -> P[next bit != honest-preferred]
-Weights = list[list[Fraction]]  # level m, node j -> steering weight
+Weights = dict[int, Fraction]  # heap index -> steering weight; a missing node has w = 0
 
 POWERS = ("bias-only", "truthful", "unrestricted", "checked")
 
@@ -113,65 +118,67 @@ POWERS = ("bias-only", "truthful", "unrestricted", "checked")
 class _Leaves:
     """The positive-mass leaves of a top-down pass, in table order.
 
-    Each entry is (prefix, table index, mass numerator); every mass is
-    its numerator over the one ``denominator``.
+    Each entry is (table index, mass numerator); every mass is its
+    numerator over the one ``denominator``.
     """
 
-    entries: list[tuple[BitPrefix, int, int]]
+    k: int
+    entries: list[tuple[int, int]]
     denominator: int
 
     def distribution(self) -> LeafDistribution:
-        return {prefix: Fraction(mass, self.denominator) for prefix, _, mass in self.entries}
+        return {
+            index_to_bits(i, self.k): Fraction(mass, self.denominator)
+            for i, mass in self.entries
+        }
 
 
-def _leaf_masses(honest_bits: list[list[int]], weights: Weights) -> _Leaves:
+def _leaf_masses(honest_bits: list[int], weights: Weights, k: int) -> _Leaves:
     """Top-down pass: the positive leaf masses, as ints over one denominator.
 
-    Node j of level m keeps the share ``1 - weights[m][j]`` of its mass on
-    the honest party's preferred bit ``honest_bits[m][j]`` and sends the
-    rest to the other child.  Each level's weights are scaled by the lcm
-    of their denominators, which multiplies into the common denominator.
-    Only nodes with positive mass are visited, and their prefixes grow a
-    bit at a time.
+    Node h keeps the share ``1 - w`` of its mass on the honest party's
+    preferred bit ``honest_bits[h]`` and sends the rest to the other child,
+    where w is ``weights.get(h, ZERO)``.  Each level's weights are scaled by
+    the lcm of their denominators, which multiplies into the common
+    denominator.  Only nodes with positive mass are visited.
     """
-    nodes, denominator = [((), 0, 1)], 1
-    for bits, level in zip(honest_bits, weights):
-        scale = lcm(*{level[j].denominator for _, j, _ in nodes})
+    nodes, denominator = [(1, 1)], 1  # (heap index, mass numerator)
+    for _ in range(k):
+        level = [weights.get(h, ZERO) for h, _ in nodes]
+        scale = lcm(*{w.denominator for w in level})
         children = []
-        for prefix, j, mass in nodes:
-            w = level[j]
+        for (h, mass), w in zip(nodes, level):
             moved = mass * w.numerator * (scale // w.denominator)
             kept = mass * scale - moved
-            zero, one = (kept, moved) if bits[j] == 0 else (moved, kept)
+            zero, one = (kept, moved) if honest_bits[h] == 0 else (moved, kept)
             if zero:
-                children.append((prefix + (0,), 2 * j, zero))
+                children.append((2 * h, zero))
             if one:
-                children.append((prefix + (1,), 2 * j + 1, one))
+                children.append((2 * h + 1, one))
         nodes, denominator = children, denominator * scale
-    return _Leaves(nodes, denominator)
+    size = 1 << k
+    return _Leaves(k, [(h - size, mass) for h, mass in nodes], denominator)
 
 
-def _policy(weights: Weights) -> AdversaryPolicy:
-    """Key every node's weight by its prefix, building prefixes a level at a time."""
-    policy: AdversaryPolicy = {}
-    prefixes: list[BitPrefix] = [()]
-    for m, level in enumerate(weights):
-        if m:
-            prefixes = [prefix + (b,) for prefix in prefixes for b in (0, 1)]
-        policy.update(zip(prefixes, level))
-    return policy
+def _policy(weights: Weights, k: int) -> AdversaryPolicy:
+    """The public policy: every internal node's weight keyed by its prefix, level by level."""
+    return {
+        prefix: weights.get(h, ZERO)
+        for m in range(k)
+        for h, prefix in enumerate(product((0, 1), repeat=m), 1 << m)
+    }
 
 
-def _l1_per_round(q: _Leaves, p: _Leaves, k: int) -> tuple[Fraction, ...]:
+def _l1_per_round(q: _Leaves, p: _Leaves) -> tuple[Fraction, ...]:
     """Exact L1 distance between the m-bit marginals of q and p, m = 0..k."""
     gaps: dict[int, int] = {}  # node index -> (q - p) mass, over both denominators
-    for _, i, mass in q.entries:
+    for i, mass in q.entries:
         gaps[i] = gaps.get(i, 0) + mass * p.denominator
-    for _, i, mass in p.entries:
+    for i, mass in p.entries:
         gaps[i] = gaps.get(i, 0) - mass * q.denominator
     denominator = q.denominator * p.denominator
     distances = []
-    for _ in range(k + 1):  # leaves first, then one level up at a time
+    for _ in range(q.k + 1):  # leaves first, then one level up at a time
         distances.append(Fraction(sum(abs(gap) for gap in gaps.values()), denominator))
         parents: dict[int, int] = {}
         for i, gap in gaps.items():
@@ -224,29 +231,16 @@ def _steering_candidates(
     raise ValueError(f"unknown adversary power {power!r} (expected one of {POWERS})")
 
 
-def _strict_scan(candidates: list[Fraction], gain_sign: int) -> Fraction:
-    """The candidate that the strict-improvement scan over ``candidates`` keeps.
-
-    A weight w is worth ``v + w * gain`` at a node whose honest-side child
-    is worth v and whose other child is worth ``v + gain``, so comparing
-    two candidates compares ``w * gain_sign`` alone.
-    """
-    chosen = candidates[0]
-    for w in candidates[1:]:
-        if w * gain_sign > chosen * gain_sign:
-            chosen = w
-    return chosen
-
-
 class _Tree:
     """The round tree of one emulation and game, shared by a verifier's questions.
 
-    One oracle and one set of preferred bits per level serve every pass.
-    They are built on first use, so arguments are checked before any tree
-    work.  Values stay ints over common denominators inside the passes
-    and become ``Fraction``s only on the way out.  Only the oracle's mixed
-    nodes are visited one by one; every other node holds w = 0, which
-    honest play and every optimum share there (see the module docstring).
+    One oracle and its two preference tables serve every pass.  The oracle
+    is built on first use, so arguments are checked before any tree work.
+    Nodes are heap indices and values stay ints over common denominators
+    inside the passes; prefixes and ``Fraction``s are built only on the way
+    out.  Only the oracle's mixed nodes are visited one by one; every other
+    node holds w = 0, which honest play and every optimum share there (see
+    the module docstring).
     """
 
     def __init__(self, em: MultisetEmulation, game: Game):
@@ -259,41 +253,29 @@ class _Tree:
         return PreferenceOracle(self.em, self.game)
 
     @cached_property
-    def bits(self) -> dict[int, list[list[int]]]:
-        """Each player's preferred bits, level by level in heap order."""
-        return {
-            player: [self.oracle.preferred_bits(player, m) for m in range(self.k)]
-            for player in (1, 2)
-        }
-
-    @cached_property
     def honest_weights(self) -> Weights:
-        """Honest play in steering coordinates: w = 0 at agreements, 1/2 at coins.
+        """Honest play in steering coordinates: w = 1/2 at coins, 0 elsewhere.
 
         Both players prefer 0 at a node that is not mixed, so only a mixed
         node can be a coin.
         """
-        weights = [[ZERO] * (1 << m) for m in range(self.k)]
         table1, table2 = self.oracle.preferred_table(1), self.oracle.preferred_table(2)
-        for m, nodes in enumerate(self.oracle.mixed_nodes):
-            for j in nodes:
-                if table1[(1 << m) | j] != table2[(1 << m) | j]:
-                    weights[m][j] = HALF
-        return weights
+        return {h: HALF for h in self.oracle.mixed_nodes if table1[h] != table2[h]}
 
     @cached_property
     def honest_leaves(self) -> _Leaves:
-        return _leaf_masses(self.bits[1], self.honest_weights)
+        return _leaf_masses(self.oracle.preferred_table(1), self.honest_weights, self.k)
 
     def expectation(self, leaves: _Leaves, player: int, floor_zero: bool = False) -> Fraction:
         numerators, table = self.oracle.numerators(player), self.em.table
         if floor_zero:
             numerators = {cell: max(v, 0) for cell, v in numerators.items()}
-        total = sum(mass * numerators[table[i]] for _, i, mass in leaves.entries)
+        total = sum(mass * numerators[table[i]] for i, mass in leaves.entries)
         return Fraction(total, leaves.denominator * self.oracle.scale(player))
 
     def leaves(self, weights: Weights, dishonest: int) -> _Leaves:
-        return _leaf_masses(self.bits[_check_players(dishonest)], weights)
+        honest = _check_players(dishonest)
+        return _leaf_masses(self.oracle.preferred_table(honest), weights, self.k)
 
     def backward_induction(
         self, bias: Fraction, dishonest: int, power: str, objective: str
@@ -302,15 +284,15 @@ class _Tree:
 
         Values are ints: leaves are utilities over the utility scale D, and
         candidate weights are numerators over their common denominator L,
-        so level m holds values over ``D * L**(k - m)``.  A min-opponent
-        pass negates the leaves and maximizes.
+        so a node at depth m holds a value over ``D * L**(k - m)``.  A
+        min-opponent pass negates the leaves and maximizes.
 
-        Only mixed nodes are visited, bottom-up.  At any other node both
-        players prefer 0 and its children are worth the same, so the scan
-        keeps its first agreeing candidate (the fill, w = 0) and a block of
-        height h is worth its cell's leaf value times ``L**h``.  That value
-        never needs the checked lie's floor, because a max-own leaf is at
-        least zero.
+        One descending pass over the mixed nodes visits each after both of
+        its children.  A child that is not mixed is a block of one cell,
+        whose children tie, so a block of height h is worth its cell's leaf
+        value times ``L**h``.  Every candidate weight lies in [0, 1], so
+        each max-own value is a convex combination of leaf values floored
+        at zero and never needs the checked lie's floor.
         """
         honest = _check_players(dishonest)
         if bias < 0 or bias >= HALF:
@@ -324,46 +306,39 @@ class _Tree:
             leaf = {cell: -v for cell, v in self.oracle.numerators(honest).items()}
         else:
             raise ValueError(f"unknown objective {objective!r}")
-        checked_lie = power == "checked" and objective == "max-own"
         scale = lcm(*(w.denominator for options in candidates.values() for w in options))
         picks = {}  # (truthfully agrees, sign of the gain) -> (weight, its numerator over L)
         for agrees, options in candidates.items():
             for gain_sign in (-1, 0, 1):
-                w = _strict_scan(options, gain_sign)
+                # A weight w is worth ``v + w * gain`` where the honest side is
+                # worth v; ``max`` keeps the first of equals, the honest-looking one.
+                w = max(options, key=lambda w: w * gain_sign)
                 picks[agrees, gain_sign] = (w, w.numerator * (scale // w.denominator))
         honest_bits = self.oracle.preferred_table(honest)
         dishonest_bits = self.oracle.preferred_table(dishonest)
-        table, k = self.em.table, self.k
+        table, k, size = self.em.table, self.k, 1 << self.k
         units = [scale**h for h in range(k + 1)]  # L**h: a leaf value lifted h levels
-        fill = picks[True, 0][0]
-        weights: Weights = [[fill] * (1 << m) for m in range(k)]
 
-        # Bottom-up pass over the mixed nodes: ``below`` holds the optimal
-        # values of the mixed nodes of level m + 1, keyed by index.
-        below: dict[int, int] = {}
-        for m in reversed(range(k)):
-            height = k - m - 1  # of the children
-            unit, level_values, level_weights = units[height], {}, weights[m]
-            for j in self.oracle.mixed_nodes[m]:
-                node = (1 << m) | j
-                b_h = honest_bits[node]
-                child = 2 * j + b_h
-                v_honest_side = below.get(child)
-                if v_honest_side is None:
-                    v_honest_side = leaf[table[child << height]] * unit
-                v_other_side = below.get(child ^ 1)
-                if v_other_side is None:
-                    v_other_side = leaf[table[(child ^ 1) << height]] * unit
-                gain = v_other_side - v_honest_side
-                w, numerator = picks[dishonest_bits[node] == b_h, (gain > 0) - (gain < 0)]
-                value = scale * v_honest_side + numerator * gain
-                if checked_lie and value < 0:
-                    value = 0  # lie and be rejected
-                level_values[j] = value
-                level_weights[j] = w
-            below = level_values
+        values: dict[int, int] = {}  # mixed node -> its optimal value
+        weights: Weights = {}
 
-        root = below[0] if below else leaf[table[0]] * units[k]
+        def node_value(h: int, height: int) -> int:
+            """A mixed node's value, else its one cell's leaf value lifted ``height`` levels."""
+            value = values.get(h)
+            if value is None:
+                value = leaf[table[(h << height) - size]] * units[height]
+            return value
+
+        for h in reversed(self.oracle.mixed_nodes):
+            height = k - h.bit_length()  # of the children
+            b_h = honest_bits[h]
+            v_honest_side = node_value(2 * h + b_h, height)
+            gain = node_value(2 * h + 1 - b_h, height) - v_honest_side
+            w, numerator = picks[dishonest_bits[h] == b_h, (gain > 0) - (gain < 0)]
+            values[h] = scale * v_honest_side + numerator * gain
+            weights[h] = w
+
+        root = node_value(1, k)
         value = Fraction(sign * root, self.oracle.scale(player) * units[k])
         return value, weights
 
@@ -373,7 +348,7 @@ class _Tree:
         value, weights = self.backward_induction(bias, dishonest, power, objective)
         leaves = self.leaves(weights, dishonest)
         outcome = AdversaryOutcome(
-            value, _policy(weights), leaves.distribution(), dishonest, bias, power
+            value, _policy(weights, self.k), leaves.distribution(), dishonest, bias, power
         )
         return outcome, leaves
 
@@ -383,14 +358,14 @@ class _Tree:
         honest = _check_players(dishonest)
         policy = {tuple(prefix): Fraction(w) for prefix, w in policy.items()}
         check_policy(policy, self.k)
-        weights = [list(level) for level in self.honest_weights]
+        weights = dict(self.honest_weights)
         for prefix, w in policy.items():
-            weights[len(prefix)][bits_to_index(prefix)] = w
+            weights[(1 << len(prefix)) | bits_to_index(prefix)] = w
         leaves = self.leaves(weights, dishonest)
         max_own = objective == "max-own"
         value = self.expectation(leaves, dishonest if max_own else honest, floor_zero=max_own)
         outcome = AdversaryOutcome(
-            value, _policy(weights), leaves.distribution(), dishonest, ZERO, "scripted"
+            value, _policy(weights, self.k), leaves.distribution(), dishonest, ZERO, "scripted"
         )
         return outcome, leaves
 
@@ -410,7 +385,7 @@ def honest_policy(em: MultisetEmulation, game: Game) -> AdversaryPolicy:
     Feeding this policy to :func:`policy_outcome` reproduces the honest
     distribution exactly.
     """
-    return _policy(_Tree(em, game).honest_weights)
+    return _policy(_Tree(em, game).honest_weights, em.k)
 
 
 def worst_case_adversary(
@@ -518,7 +493,7 @@ def verify_distance_bounds(
         adv, q = tree.scripted(policy, dishonest, "max-own")
     p_h = tree.honest_leaves
 
-    l1_per_round = _l1_per_round(q, p_h, k)
+    l1_per_round = _l1_per_round(q, p_h)
     round_bounds_hold = all(
         l1_per_round[m] <= (m * epsilon / k if k else ZERO) for m in range(k + 1)
     )

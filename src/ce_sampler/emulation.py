@@ -148,10 +148,12 @@ class PreferenceOracle:
     Each player's preferences form one table of preferred next bits, one
     per internal node of the round tree in heap order (the root is 1, the
     children of h are 2h and 2h + 1; entry 0 is unused).  A node is
-    *mixed* when a run starts strictly inside its block.  Every leaf of a
-    block that is not mixed is the same cell, so its two halves tie and
-    its entry is 0; the rule is evaluated only at mixed nodes.  The table
-    is built on first use, and every preference query reads it.
+    *mixed* when a run starts strictly inside its block, and
+    ``mixed_nodes`` lists them as one ascending list of heap indices.
+    Every leaf of a block that is not mixed is the same cell, so its two
+    halves tie and its entry is 0; the rule is evaluated only at mixed
+    nodes.  The table is built on first use, and every preference query
+    reads it.
     """
 
     def __init__(self, em: MultisetEmulation, game: Game):
@@ -168,20 +170,20 @@ class PreferenceOracle:
         return starts, [table[start] for start in starts]
 
     @cached_property
-    def mixed_nodes(self) -> list[list[int]]:
-        """The mixed nodes of each internal level m, as ascending indices within the level.
+    def mixed_nodes(self) -> list[int]:
+        """The mixed nodes, as ascending heap indices.
 
-        Node j of level m covers the leaves ``[j << (k - m), (j + 1) << (k - m))``,
-        so a run start b lies strictly inside the block of node ``b >> (k - m)``
-        unless its low ``k - m`` bits are all 0.
+        A run start b is leaf ``2**k + b``, and its ancestor ``(2**k + b) >> s``
+        covers the leaves sharing all but the low s bits of b, so b lies
+        strictly inside that block exactly when those bits are not all 0.
+        A child's heap index exceeds its parent's, so ``reversed`` walks the
+        list bottom-up.
         """
-        boundaries = self._runs[0][1:]
-        levels = []
-        for m in range(self.k):
-            shift = self.k - m
-            mask = (1 << shift) - 1
-            levels.append(list(dict.fromkeys(b >> shift for b in boundaries if b & mask)))
-        return levels
+        nodes = set()
+        for b in self._runs[0][1:]:
+            zeros = (b & -b).bit_length() - 1  # trailing zero bits of b
+            nodes.update(((1 << self.k) | b) >> s for s in range(zeros + 1, self.k + 1))
+        return sorted(nodes)
 
     @cached_property
     def _scaled(self) -> dict[int, tuple[int, dict[JointStrategy, int], list[int], list[int]]]:
@@ -248,15 +250,15 @@ class PreferenceOracle:
         """
         table = self._tables.get(player)
         if table is None:
-            table = [0] * (1 << self.k)
-            for m, nodes in enumerate(self.mixed_nodes):
-                half = 1 << (self.k - m - 1)
-                for j in nodes:
-                    lo = 2 * j * half
-                    start, mid, end = (
-                        self._leading_sum(player, n) for n in (lo, lo + half, lo + 2 * half)
-                    )
-                    table[(1 << m) | j] = 0 if mid - start >= end - mid else 1
+            size = 1 << self.k
+            table = [0] * size
+            for h in self.mixed_nodes:
+                half = 1 << (self.k - h.bit_length())  # the width of each child's block
+                lo = 2 * half * h - size
+                start, mid, end = (
+                    self._leading_sum(player, n) for n in (lo, lo + half, lo + 2 * half)
+                )
+                table[h] = 0 if mid - start >= end - mid else 1
             self._tables[player] = table
         return table
 
@@ -266,12 +268,6 @@ class PreferenceOracle:
         if m >= self.k:
             raise ValueError("prefix must leave at least one undecided bit")
         return 1 - 2 * self.preferred_table(player)[(1 << m) | bits_to_index(prefix)]
-
-    def preferred_bits(self, player: int, m: int) -> list[int]:
-        """Preferred next bit at every node of level ``m``, in heap order."""
-        if not 0 <= m < self.k:
-            raise ValueError(f"level {m} is not internal to the {self.k}-round tree")
-        return self.preferred_table(player)[1 << m : 2 << m]
 
 
 # ---------------------------------------------------------------------------

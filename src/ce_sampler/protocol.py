@@ -94,6 +94,8 @@ class ProtocolConfig:
         object.__setattr__(self, "delta", as_fraction(self.delta))
         if self.epsilon <= 0 or self.delta <= 0:
             raise ValueError("epsilon and delta must be positive")
+        if not isinstance(self.k, int) or isinstance(self.k, bool):
+            raise TypeError(f"k must be an int, got {self.k!r}")
         if self.k < 0:
             raise ValueError("round count cannot be negative")
 

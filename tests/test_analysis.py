@@ -562,11 +562,13 @@ def dense_preferred_table(em, game, player):
 
 
 class DenseTree(analysis._Tree):
-    """The round tree held as full level arrays: every node is visited.
+    """The round tree swept in full: every node of every level is visited.
 
     It reads no oracle.  Preferences come from the full leaf cumsum, and
-    the backward induction sweeps every node of every level, so it costs
-    O(2^k) whatever the table's layout.
+    the backward induction sweeps every node of every level with its own
+    strict-improvement scan and the checked lie's explicit floor, so it
+    costs O(2^k) whatever the table's layout.  Its weights are keyed by
+    heap index, with a key at every internal node.
     """
 
     @property
@@ -574,23 +576,37 @@ class DenseTree(analysis._Tree):
         raise AssertionError("the dense reference reads no oracle")
 
     @cached_property
-    def bits(self):
-        tables = {p: dense_preferred_table(self.em, self.game, p) for p in (1, 2)}
-        return {p: [t[1 << m : 2 << m] for m in range(self.k)] for p, t in tables.items()}
+    def tables(self):
+        return {p: dense_preferred_table(self.em, self.game, p) for p in (1, 2)}
 
     @cached_property
     def honest_weights(self):
-        return [
-            [F(0) if b1 == b2 else HALF for b1, b2 in zip(level1, level2)]
-            for level1, level2 in zip(self.bits[1], self.bits[2])
-        ]
+        table1, table2 = self.tables[1], self.tables[2]
+        return {h: F(0) if table1[h] == table2[h] else HALF for h in range(1, 1 << self.k)}
+
+    @cached_property
+    def honest_leaves(self):
+        return analysis._leaf_masses(self.tables[1], self.honest_weights, self.k)
+
+    def leaves(self, weights, dishonest):
+        honest = analysis._check_players(dishonest)
+        return analysis._leaf_masses(self.tables[honest], weights, self.k)
 
     def expectation(self, leaves, player, floor_zero=False):
         values, scale = dense_leaf_numerators(self.em, self.game, player)
         if floor_zero:
             values = [max(v, 0) for v in values]
-        total = sum(mass * values[i] for _, i, mass in leaves.entries)
+        total = sum(mass * values[i] for i, mass in leaves.entries)
         return F(total, leaves.denominator * scale)
+
+    @staticmethod
+    def scan(options, gain_sign):
+        """Move off the first option only on a strict improvement."""
+        chosen = options[0]
+        for w in options[1:]:
+            if w * gain_sign > chosen * gain_sign:
+                chosen = w
+        return chosen
 
     def backward_induction(self, bias, dishonest, power, objective):
         honest = analysis._check_players(dishonest)
@@ -614,21 +630,23 @@ class DenseTree(analysis._Tree):
         picks = {}
         for agrees, options in candidates.items():
             for gain_sign in (-1, 0, 1):
-                w = analysis._strict_scan(options, gain_sign)
+                w = self.scan(options, gain_sign)
                 picks[agrees, gain_sign] = (w, w.numerator * (scale // w.denominator))
-        honest_bits, dishonest_bits = self.bits[honest], self.bits[dishonest]
-        weights = [[] for _ in range(self.k)]
+        honest_bits, dishonest_bits = self.tables[honest], self.tables[dishonest]
+        weights = {}
         for m in reversed(range(self.k)):
-            level_values, level_weights = [], weights[m]
-            for j, (b_h, b_d) in enumerate(zip(honest_bits[m], dishonest_bits[m])):
+            level_values = []
+            for j in range(1 << m):
+                h = (1 << m) + j
+                b_h = honest_bits[h]
                 v_honest_side = values[2 * j + b_h]
                 gain = values[2 * j + 1 - b_h] - v_honest_side
-                w, numerator = picks[b_d == b_h, (gain > 0) - (gain < 0)]
+                w, numerator = picks[dishonest_bits[h] == b_h, (gain > 0) - (gain < 0)]
                 value = scale * v_honest_side + numerator * gain
                 if checked_lie and value < 0:
                     value = 0
                 level_values.append(value)
-                level_weights.append(w)
+                weights[h] = w
             values = level_values
         return F(sign * values[0], d * scale**self.k), weights
 
@@ -709,11 +727,12 @@ class TestRunLengthEngine:
                     prefix = index_to_bits(j, m)
                     block = leaf[j * width : (j + 1) * width]
                     assert oracle.block_sum(player, prefix) == sum(block, F(0))
-        for m, nodes in enumerate(oracle.mixed_nodes):
-            width = 1 << (em.k - m)
-            assert nodes == [
-                j for j in range(1 << m) if len(set(em.table[j * width : (j + 1) * width])) > 1
-            ]
+        assert oracle.mixed_nodes == [
+            (1 << m) + j
+            for m in range(em.k)
+            for j in range(1 << m)
+            if len(set(em.table[j << (em.k - m) : (j + 1) << (em.k - m)])) > 1
+        ]
 
     @pytest.mark.parametrize("game, em", layouts())
     def test_worst_cases_match(self, game, em, dense):
@@ -730,13 +749,21 @@ class TestRunLengthEngine:
             assert list(fast.leaf_distribution.items()) == list(slow.leaf_distribution.items())
 
     @pytest.mark.parametrize("game, em", layouts())
+    def test_policies_are_complete_prefix_dicts_in_level_order(self, game, em):
+        prefixes = prefixes_of(em.k)
+        assert list(honest_policy(em, game)) == prefixes
+        for power, objective, cheater in itertools.product(
+            POWERS, ("max-own", "min-opponent"), (1, 2)
+        ):
+            adv = worst_case_adversary(em, game, F(1, 40), cheater, power, objective)
+            assert list(adv.policy) == prefixes, (power, objective, cheater)
+        assert list(policy_outcome(em, game, {}, 1).policy) == prefixes
+
+    @pytest.mark.parametrize("game, em", layouts())
     def test_scripted_weights_off_the_mixed_nodes(self, game, em, dense):
         rng = random.Random(67)
-        mixed = {
-            index_to_bits(j, m)
-            for m, nodes in enumerate(PreferenceOracle(em, game).mixed_nodes)
-            for j in nodes
-        }
+        depth = {h: h.bit_length() - 1 for h in PreferenceOracle(em, game).mixed_nodes}
+        mixed = {index_to_bits(h - (1 << m), m) for h, m in depth.items()}
         nodes = prefixes_of(em.k)
         plain = [prefix for prefix in nodes if prefix not in mixed]
         weights = [F(0), F(1, 3), HALF, F(5, 7), F(1)]

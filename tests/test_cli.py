@@ -1,5 +1,6 @@
 """Command-line interface: reports, determinism, error paths."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from ce_sampler import cli
+from ce_sampler.analysis import POWERS
 from ce_sampler.cli import _chunk_bounds, _worker_count, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -293,6 +295,31 @@ class TestAnalyze:
         payload = json.loads(out.read_text())
         assert payload["config"]["adversary_power"] == "checked"
         assert all(payload["verdicts"].values())
+
+
+# SHA-256 over the ``analyze --report`` bytes and exit codes of every power
+# and dishonest seat, per (game, delta): delta 1/2 is k = 3, delta 1/64 is k = 8.
+ANALYZE_REPORT_DIGESTS = {
+    ("bos", "1/2"): "ba4f544380131bfa2d9b7f95a77b64f6f64ac7ebec78dc69d34f4104d4569184",
+    ("bos", "1/64"): "9d3d4020539faa1a4b25263ae958f5f4ca5cd0ad4927fb906ea5e5df128c0697",
+    ("coinflip", "1/2"): "ace5e87f0e15c2b1541cbd15f7be46fa464b84f4f61fb092313e58e40974e6e6",
+    ("coinflip", "1/64"): "c4bf4a8e9ff49638b7ca73df4791090845b1ea56cab53b820ce39cd77b9409af",
+}
+
+
+@pytest.mark.parametrize("game, delta", list(ANALYZE_REPORT_DIGESTS))
+def test_analyze_reports_are_pinned(game, delta, tmp_path):
+    out = tmp_path / "analysis.json"
+    digest = hashlib.sha256()
+    for power in POWERS:
+        for dishonest in ("1", "2"):
+            code = run_cli(
+                "analyze", "--game", str(DATA / f"{game}.json"), "--delta", delta,
+                "--power", power, "--dishonest", dishonest, "--report", str(out),
+            )
+            digest.update(f"{power} {dishonest} {code}\n".encode())
+            digest.update(out.read_bytes())
+    assert digest.hexdigest() == ANALYZE_REPORT_DIGESTS[game, delta]
 
 
 class TestReproduce:

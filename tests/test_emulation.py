@@ -140,22 +140,18 @@ class TestConditionals:
         for game, em in cases:
             oracle = PreferenceOracle(em, game)
             for player in (1, 2):
+                table = oracle.preferred_table(player)
+                assert len(table) == em.size
                 for m in range(em.k):
                     prefixes = [index_to_bits(j, m) for j in range(1 << m)]
-                    assert oracle.preferred_bits(player, m) == [
+                    assert table[1 << m : 2 << m] == [
                         0 if oracle.conditional_expected(player, prefix, 0)
                         >= oracle.conditional_expected(player, prefix, 1) else 1
                         for prefix in prefixes
                     ]
-                    assert oracle.preferred_bits(player, m) == [
+                    assert table[1 << m : 2 << m] == [
                         0 if oracle.preference(player, prefix) == 1 else 1 for prefix in prefixes
                     ]
-
-    def test_preferred_bits_only_at_internal_levels(self, bos, bos_fair_ce):
-        oracle = PreferenceOracle(emulate(bos, bos_fair_ce, F(1, 2)), bos)
-        for m in (-1, 3):
-            with pytest.raises(ValueError):
-                oracle.preferred_bits(1, m)
 
 
 def mixed_denominator_game(rng: random.Random, rows: int, cols: int) -> Game:
@@ -202,7 +198,7 @@ class TestIntegerOracle:
                          oracle.conditional_expected(player, prefix, 1))
                         for prefix in prefixes
                     ] == [(zero / (width // 2), one / (width // 2)) for zero, one in halves]
-                    assert oracle.preferred_bits(player, m) == [
+                    assert oracle.preferred_table(player)[1 << m : 2 << m] == [
                         0 if zero >= one else 1 for zero, one in halves
                     ]
 

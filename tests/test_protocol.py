@@ -378,6 +378,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ProtocolConfig(F(1, 10), F(0), 3)
 
+    @pytest.mark.parametrize("k", [2.0, True, "3", None])
+    def test_round_count_must_be_an_int(self, k):
+        with pytest.raises(TypeError, match="k must be an int"):
+            ProtocolConfig(F(1, 10), F(1, 2), k)
+
     def test_degenerate_zero_round_run(self, bos, bos_fair_ce):
         # A budget wider than the strategy space needs no index bits at
         # all: the table is one entry and the run is deterministic.
