@@ -57,14 +57,14 @@ public boundary: policies and leaf distributions.
 
 The tree is run-length.  A node is *mixed* when a run of equal table
 entries starts strictly inside its block (see
-:class:`~ce_sampler.emulation.PreferenceOracle`).  Every leaf under any
-other node is the same cell, so both players prefer 0, honest play
-agrees (w = 0), every class's optimum keeps that honest-equivalent
-weight, and the block is worth its cell's value.  The weight maps
-therefore need keys at mixed nodes only, and the backward induction makes
-one descending, so bottom-up, pass over the oracle's ascending list of
-mixed nodes, holding their values in a dict keyed by heap index.  There
-are at most (R - 1) * k of them for R runs;
+:attr:`~ce_sampler.emulation.MultisetEmulation.mixed_nodes`).  Every
+leaf under any other node is the same cell, so both players prefer 0,
+honest play agrees (w = 0), every class's optimum keeps that
+honest-equivalent weight, and the block is worth its cell's value.  The
+weight maps therefore need keys at mixed nodes only, and the backward
+induction makes one descending, so bottom-up, pass over the emulation's
+ascending list of mixed nodes, holding their values in a dict keyed by
+heap index.  There are at most (R - 1) * k of them for R runs;
 :func:`~ce_sampler.emulation.emulate` lays each cell out contiguously, so
 R is at most the number of cells.  A hand-built table may interleave its
 cells, and then up to every node is mixed.  A top-down pass carries mass
@@ -80,7 +80,9 @@ denominators, and a mass is its numerator over the product of those
 scales.  ``Fraction``s are built only for the returned values, weights
 and positive leaves, so every result is the same exact rational as one
 computed in Fractions throughout.  Each verifier asks all its questions
-of one tree, which builds one oracle and its two preference tables.
+of one tree, which builds one oracle and its two preference tables; the
+table's runs and mixed nodes are found once per emulation and shared by
+every tree over it.
 
 The verifier functions compare results against the contract bounds with
 zero tolerance and report failed verdicts rather than raising: for the
@@ -238,9 +240,9 @@ class _Tree:
     is built on first use, so arguments are checked before any tree work.
     Nodes are heap indices and values stay ints over common denominators
     inside the passes; prefixes and ``Fraction``s are built only on the way
-    out.  Only the oracle's mixed nodes are visited one by one; every other
-    node holds w = 0, which honest play and every optimum share there (see
-    the module docstring).
+    out.  Only the emulation's mixed nodes are visited one by one; every
+    other node holds w = 0, which honest play and every optimum share there
+    (see the module docstring).
     """
 
     def __init__(self, em: MultisetEmulation, game: Game):
@@ -260,7 +262,7 @@ class _Tree:
         node can be a coin.
         """
         table1, table2 = self.oracle.preferred_table(1), self.oracle.preferred_table(2)
-        return {h: HALF for h in self.oracle.mixed_nodes if table1[h] != table2[h]}
+        return {h: HALF for h in self.em.mixed_nodes if table1[h] != table2[h]}
 
     @cached_property
     def honest_leaves(self) -> _Leaves:
@@ -329,7 +331,7 @@ class _Tree:
                 value = leaf[table[(h << height) - size]] * units[height]
             return value
 
-        for h in reversed(self.oracle.mixed_nodes):
+        for h in reversed(self.em.mixed_nodes):
             height = k - h.bit_length()  # of the children
             b_h = honest_bits[h]
             v_honest_side = node_value(2 * h + b_h, height)

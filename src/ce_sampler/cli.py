@@ -225,7 +225,7 @@ def _prepare(args) -> tuple[Game, JointDistribution, MultisetEmulation, Protocol
     per-round coin bias epsilon/(2k) of 1/2 or more is reported as a flag error.
     """
     game = parse_game_file(args.game)
-    config = ProtocolConfig.plan(game, as_fraction(args.epsilon), as_fraction(args.delta))
+    config = ProtocolConfig.plan(game, args.epsilon, args.delta)
     if config.per_round_bias >= Fraction(1, 2):
         raise ValueError(
             f"--epsilon {args.epsilon} is too large for k = {config.k} rounds: the per-round "
@@ -322,8 +322,23 @@ def _add_protocol_args(sub: argparse.ArgumentParser) -> None:
         choices=[o.value for o in CeObjective],
         help="equilibrium selection rule (default: max-total-lex)",
     )
-    sub.add_argument("--epsilon", default="1/10", help="cheating budget (rational)")
-    sub.add_argument("--delta", default="1/2", help="emulation budget (rational)")
+    sub.add_argument(
+        "--epsilon", type=_positive_rational, default="1/10", help="cheating budget (rational)"
+    )
+    sub.add_argument(
+        "--delta", type=_positive_rational, default="1/2", help="emulation budget (rational)"
+    )
+
+
+def _positive_rational(text: str) -> Fraction:
+    """An argparse type: a rational above 0, else an error that names the option."""
+    try:
+        value = as_fraction(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
 
 
 def _at_least_one(noun: str):

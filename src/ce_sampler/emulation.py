@@ -6,23 +6,25 @@ reproduces the distribution up to an L1 error of at most |S| / 2^k.
 Copy counts come from largest-remainder rounding, the copies are laid
 out contiguously in canonical row-major profile order (configurable via
 an explicit permutation), and the prefix structure of the index
-therefore partitions the table into aligned blocks.  The conditional
-block averages defined here are what the sampling protocol's preference
-announcements are computed from.
+therefore partitions the table into aligned blocks.  The table's shape,
+its runs of equal entries and the round-tree nodes whose block a run
+boundary crosses, is found once per emulation, on first use.  The
+conditional block averages defined here, folded bottom-up over those
+nodes, are what the sampling protocol's preference announcements are
+computed from.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, compress, count, islice
+from itertools import compress, count, islice
 from math import lcm
-from operator import mul, ne
+from operator import ne
 from typing import Mapping, Sequence
 
-from .games import ZERO, Game, JointDistribution, JointStrategy, as_fraction
+from .games import ZERO, Game, JointDistribution, JointStrategy, _check_support, as_fraction
 
 BitPrefix = tuple[int, ...]
 
@@ -55,7 +57,12 @@ def rounds_for(n_cells: int, delta: Fraction) -> int:
 
 @dataclass(frozen=True)
 class MultisetEmulation:
-    """A 2^k-entry table of profile copies standing in for ``source``."""
+    """A 2^k-entry table of profile copies standing in for ``source``.
+
+    ``runs`` and ``mixed_nodes`` describe the table's shape.  They are
+    computed on first use and kept, and they are not fields: equality
+    and serialization see the four fields only.
+    """
 
     k: int
     table: tuple[JointStrategy, ...]
@@ -74,10 +81,43 @@ class MultisetEmulation:
     def size(self) -> int:
         return 1 << self.k
 
+    @cached_property
+    def runs(self) -> tuple[list[int], list[JointStrategy]]:
+        """The start index and the cell of every run, in table order.
+
+        A run is a maximal stretch of equal consecutive entries.
+        :func:`emulate` lays each cell's copies out contiguously, so there
+        are at most as many runs as cells, but a hand-built table may hold
+        up to 2^k.
+        """
+        table = self.table
+        starts = [0, *compress(count(1), map(ne, islice(table, 1, None), table))]
+        return starts, [table[start] for start in starts]
+
+    @cached_property
+    def mixed_nodes(self) -> list[int]:
+        """The round-tree nodes whose block a run starts strictly inside.
+
+        Nodes are heap indices: the root is 1, the children of h are 2h and
+        2h + 1, and leaf ``2**k + i`` is entry i.  A run start b is leaf
+        ``2**k + b``, and its ancestor ``(2**k + b) >> s`` covers the leaves
+        sharing all but the low s bits of b, so b lies strictly inside that
+        block exactly when those bits are not all 0.  Every leaf under a node
+        that is not mixed is the same cell.  The list is ascending, and a
+        child's heap index exceeds its parent's, so ``reversed`` walks it
+        bottom-up.
+        """
+        nodes = set()
+        for b in self.runs[0][1:]:
+            zeros = (b & -b).bit_length() - 1  # trailing zero bits of b
+            nodes.update(((1 << self.k) | b) >> s for s in range(zeros + 1, self.k + 1))
+        return sorted(nodes)
+
     def counts(self) -> dict[JointStrategy, int]:
+        starts, cells = self.runs
         out: dict[JointStrategy, int] = {}
-        for cell in self.table:
-            out[cell] = out.get(cell, 0) + 1
+        for cell, start, end in zip(cells, starts, [*starts[1:], self.size]):
+            out[cell] = out.get(cell, 0) + end - start
         return out
 
     def induced_distribution(self) -> JointDistribution:
@@ -109,6 +149,7 @@ def emulate(
     layout = list(order) if order is not None else list(game.cells())
     if sorted(layout) != sorted(game.cells()):
         raise ValueError("order must be a permutation of the game's profiles")
+    _check_support(game, p)  # mass off the game would be rounded away unseen
 
     k = rounds_for(game.n_cells, budget)
     size = 1 << k
@@ -131,76 +172,42 @@ def emulate(
 
 
 class PreferenceOracle:
-    """Conditional payoff queries over an emulation table, O(log R) per block sum.
+    """One game's conditional payoff queries over an emulation table.
 
-    A *run* is a maximal stretch of equal consecutive table entries, and R
-    is the number of runs.  :func:`emulate` lays each cell's copies out
-    contiguously, so R is at most the number of cells, but a hand-built
-    table may hold up to 2^k runs.  The runs are found on first use.
-
+    The table's shape, its runs and its mixed nodes, belongs to the
+    emulation (see :class:`MultisetEmulation`); the oracle adds the game.
     Per player, the utilities of the table's distinct cells are scaled by
-    the lcm of their denominators, so sums over leaf payoffs are ints, and
-    the sums are kept only at run starts: a block sum is one bisect over
-    the run starts per end.  Prefix blocks at the same depth all have the
-    same width, so comparing two integer block sums compares the branches;
-    a ``Fraction`` is built only when a sum or an expectation is requested.
+    the lcm of their denominators, so sums over leaf payoffs are ints.
 
-    Each player's preferences form one table of preferred next bits, one
-    per internal node of the round tree in heap order (the root is 1, the
-    children of h are 2h and 2h + 1; entry 0 is unused).  A node is
-    *mixed* when a run starts strictly inside its block, and
-    ``mixed_nodes`` lists them as one ascending list of heap indices.
-    Every leaf of a block that is not mixed is the same cell, so its two
-    halves tie and its entry is 0; the rule is evaluated only at mixed
-    nodes.  The table is built on first use, and every preference query
-    reads it.
+    Per player, one descending, so bottom-up, pass over the emulation's
+    mixed nodes adds each node's two child block sums.  A block that is
+    not mixed is one cell's numerator times the block's width, so the pass
+    keeps sums at mixed nodes only and costs O(mixed nodes), not O(2^k).
+    Prefix blocks at the same depth all have the same width, so comparing
+    the two child sums compares the branches, and the same pass fills the
+    player's table of preferred next bits, one per internal node in heap
+    order (entry 0 is unused).  The two halves of a block that is not
+    mixed tie, so its entry is 0.  A ``Fraction`` is built only when a sum
+    or an expectation is requested.
     """
 
     def __init__(self, em: MultisetEmulation, game: Game):
         self.em = em
         self.game = game
         self.k = em.k
-        self._tables: dict[int, list[int]] = {}
+        self._folds: dict[int, tuple[dict[int, int], list[int]]] = {}
 
     @cached_property
-    def _runs(self) -> tuple[list[int], list[JointStrategy]]:
-        """The start index and the cell of every run, in table order."""
-        table = self.em.table
-        starts = [0, *compress(count(1), map(ne, islice(table, 1, None), table))]
-        return starts, [table[start] for start in starts]
-
-    @cached_property
-    def mixed_nodes(self) -> list[int]:
-        """The mixed nodes, as ascending heap indices.
-
-        A run start b is leaf ``2**k + b``, and its ancestor ``(2**k + b) >> s``
-        covers the leaves sharing all but the low s bits of b, so b lies
-        strictly inside that block exactly when those bits are not all 0.
-        A child's heap index exceeds its parent's, so ``reversed`` walks the
-        list bottom-up.
-        """
-        nodes = set()
-        for b in self._runs[0][1:]:
-            zeros = (b & -b).bit_length() - 1  # trailing zero bits of b
-            nodes.update(((1 << self.k) | b) >> s for s in range(zeros + 1, self.k + 1))
-        return sorted(nodes)
-
-    @cached_property
-    def _scaled(self) -> dict[int, tuple[int, dict[JointStrategy, int], list[int], list[int]]]:
-        """Per player: the scale, each cell's utility times it, and per run its
-        leaf numerator and the sum of the numerators before it."""
-        starts, cells = self._runs
-        widths = [end - start for start, end in zip(starts, [*starts[1:], self.em.size])]
+    def _scaled(self) -> dict[int, tuple[int, dict[JointStrategy, int]]]:
+        """Per player: the scale, and each cell's utility times it."""
+        cells = dict.fromkeys(self.em.runs[1])
         out = {}
         for player in (1, 2):
-            utilities = {cell: self.game.utility(player, cell) for cell in dict.fromkeys(cells)}
+            utilities = {cell: self.game.utility(player, cell) for cell in cells}
             scale = lcm(*(u.denominator for u in utilities.values()))
-            numerators = {
+            out[player] = scale, {
                 cell: u.numerator * (scale // u.denominator) for cell, u in utilities.items()
             }
-            values = [numerators[cell] for cell in cells]
-            befores = list(accumulate(map(mul, widths, values), initial=0))
-            out[player] = scale, numerators, values, befores
         return out
 
     def scale(self, player: int) -> int:
@@ -211,25 +218,39 @@ class PreferenceOracle:
         """``player``'s utility at each cell of the table, times ``scale(player)``."""
         return self._scaled[player][1]
 
-    def _leading_sum(self, player: int, n: int) -> int:
-        """The utility sum over the first ``n`` leaves, times ``scale(player)``."""
-        starts = self._runs[0]
-        _, _, values, befores = self._scaled[player]
-        r = bisect_right(starts, n) - 1
-        return befores[r] + (n - starts[r]) * values[r]
+    def _node_sum(self, player: int, sums: dict[int, int], h: int, height: int) -> int:
+        """Node h's block sum times ``scale(player)``; its block is 2**height leaves wide."""
+        total = sums.get(h)
+        if total is None:  # not mixed: one cell throughout
+            total = self.numerators(player)[self.em.table[(h << height) - self.em.size]] << height
+        return total
 
-    def _block(self, prefix: BitPrefix) -> tuple[int, int]:
-        m = len(prefix)
-        if m > self.k:
-            raise ValueError("prefix longer than the index width")
-        width = 1 << (self.k - m)
-        lo = bits_to_index(prefix) * width
-        return lo, lo + width
+    def _fold(self, player: int) -> tuple[dict[int, int], list[int]]:
+        """The mixed nodes' block sums and ``player``'s preferred-bit table.
+
+        This is the preference rule, and the only place it is written: ties
+        prefer 0.
+        """
+        fold = self._folds.get(player)
+        if fold is None:
+            sums: dict[int, int] = {}
+            preferred = [0] * self.em.size
+            for h in reversed(self.em.mixed_nodes):
+                height = self.k - h.bit_length()  # of the children
+                zero = self._node_sum(player, sums, 2 * h, height)
+                one = self._node_sum(player, sums, 2 * h + 1, height)
+                preferred[h] = 0 if zero >= one else 1
+                sums[h] = zero + one
+            fold = self._folds[player] = sums, preferred
+        return fold
 
     def _scaled_sum(self, player: int, prefix: BitPrefix) -> tuple[int, int]:
         """The block's utility sum times ``scale(player)``, and the block's width."""
-        lo, hi = self._block(prefix)
-        return self._leading_sum(player, hi) - self._leading_sum(player, lo), hi - lo
+        m = len(prefix)
+        if m > self.k:
+            raise ValueError("prefix longer than the index width")
+        h, height = (1 << m) | bits_to_index(prefix), self.k - m
+        return self._node_sum(player, self._fold(player)[0], h, height), 1 << height
 
     def block_sum(self, player: int, prefix: BitPrefix) -> Fraction:
         total, _ = self._scaled_sum(player, prefix)
@@ -241,26 +262,8 @@ class PreferenceOracle:
         return Fraction(total, self.scale(player) * width)
 
     def preferred_table(self, player: int) -> list[int]:
-        """``player``'s preferred next bit at every internal node, in heap order.
-
-        The two children of a node cover equal-width blocks, so comparing
-        their integer sums compares the conditional expectations.  This is
-        the preference rule, and the only place it is written: ties prefer 0.
-        Nodes that are not mixed tie, so only mixed nodes are compared.
-        """
-        table = self._tables.get(player)
-        if table is None:
-            size = 1 << self.k
-            table = [0] * size
-            for h in self.mixed_nodes:
-                half = 1 << (self.k - h.bit_length())  # the width of each child's block
-                lo = 2 * half * h - size
-                start, mid, end = (
-                    self._leading_sum(player, n) for n in (lo, lo + half, lo + 2 * half)
-                )
-                table[h] = 0 if mid - start >= end - mid else 1
-            self._tables[player] = table
-        return table
+        """``player``'s preferred next bit at every internal node, in heap order."""
+        return self._fold(player)[1]
 
     def preference(self, player: int, prefix: BitPrefix) -> int:
         """+1 when extending the prefix with 0 is weakly better, else -1."""

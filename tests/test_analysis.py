@@ -37,7 +37,8 @@ from ce_sampler.analysis import (
     verify_payoff_guarantees,
     worst_case_adversary,
 )
-from ce_sampler.emulation import PreferenceOracle, index_to_bits, l1_distance
+from ce_sampler.emulation import PreferenceOracle, bits_to_index, index_to_bits, l1_distance
+from ce_sampler.serialization import emulation_to_json
 from conftest import random_distribution, random_rational_game
 
 HALF = F(1, 2)
@@ -727,12 +728,41 @@ class TestRunLengthEngine:
                     prefix = index_to_bits(j, m)
                     block = leaf[j * width : (j + 1) * width]
                     assert oracle.block_sum(player, prefix) == sum(block, F(0))
-        assert oracle.mixed_nodes == [
+        assert em.mixed_nodes == [
             (1 << m) + j
             for m in range(em.k)
             for j in range(1 << m)
             if len(set(em.table[j << (em.k - m) : (j + 1) << (em.k - m)])) > 1
         ]
+
+    @pytest.mark.parametrize("game, em", layouts())
+    def test_oracles_of_two_games_share_one_emulation(self, game, em):
+        # Another game on the same cells, with other payoffs and denominators.
+        other = signed_game(random.Random(71), game.rows, game.cols)
+        games = (game, other)
+        oracles = [PreferenceOracle(em, g) for g in games]
+        for player in (1, 2):  # interleaved, so each oracle reads what the other left
+            for g, oracle in zip(games, oracles):
+                assert oracle.preferred_table(player) == dense_preferred_table(em, g, player)
+        for g, oracle in zip(games, oracles):
+            for player in (1, 2):
+                leaf = [g.utility(player, cell) for cell in em.table]
+                for prefix in prefixes_of(em.k + 1):
+                    width = 1 << (em.k - len(prefix))
+                    lo = bits_to_index(prefix) * width
+                    assert oracle.block_sum(player, prefix) == sum(leaf[lo : lo + width], F(0))
+        assert set(vars(em)) <= {"k", "table", "source", "delta", "runs", "mixed_nodes"}
+
+    def test_emulate_leaves_the_shape_uncomputed(self):
+        rng = random.Random(73)
+        game = signed_game(rng, 3, 3)
+        em = emulate(game, random_distribution(rng, list(game.cells())), F(1, 4))
+        assert "runs" not in vars(em) and "mixed_nodes" not in vars(em)
+        fresh = MultisetEmulation(k=em.k, table=em.table, source=em.source, delta=em.delta)
+        PreferenceOracle(em, game).preferred_table(1)
+        assert "runs" in vars(em) and "mixed_nodes" in vars(em)
+        # The shape is not a field: equality and serialization do not see it.
+        assert em == fresh and emulation_to_json(em) == emulation_to_json(fresh)
 
     @pytest.mark.parametrize("game, em", layouts())
     def test_worst_cases_match(self, game, em, dense):
@@ -762,7 +792,7 @@ class TestRunLengthEngine:
     @pytest.mark.parametrize("game, em", layouts())
     def test_scripted_weights_off_the_mixed_nodes(self, game, em, dense):
         rng = random.Random(67)
-        depth = {h: h.bit_length() - 1 for h in PreferenceOracle(em, game).mixed_nodes}
+        depth = {h: h.bit_length() - 1 for h in em.mixed_nodes}
         mixed = {index_to_bits(h - (1 << m), m) for h, m in depth.items()}
         nodes = prefixes_of(em.k)
         plain = [prefix for prefix in nodes if prefix not in mixed]

@@ -206,6 +206,18 @@ def test_bad_trial_count_is_rejected(command, trials, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["analyze", "run", "play"])
+@pytest.mark.parametrize("flag", ["--epsilon", "--delta"])
+@pytest.mark.parametrize("value", ["0", "-3", "abc", "1/0"])
+def test_bad_budget_names_the_flag(command, flag, value, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(command, "--game", BOS, "--objective", "max-fair", flag, value)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}:" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["run", "play"])
 @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
 def test_bad_job_count_is_rejected(command, jobs, capsys):

@@ -98,6 +98,14 @@ class TestEmulate:
         with pytest.raises(ValueError):
             emulate(bos, bos_fair_ce, F(-1, 2))
 
+    @pytest.mark.parametrize("inside", [F(1, 2), F(0)])
+    def test_rejects_mass_outside_the_game(self, bos, inside):
+        # Rounding over the game's cells alone would drop the outside mass
+        # unseen, breaking the L1 <= delta contract.
+        p = JointDistribution({JointStrategy(0, 0): inside, JointStrategy(5, 5): 1 - inside})
+        with pytest.raises(ValueError, match=r"profile .*s1=5, s2=5.* outside the game"):
+            emulate(bos, p, F(1, 2))
+
     @pytest.mark.parametrize("k, error", [(-1, ValueError), (-3, ValueError), (1.0, TypeError),
                                           ("2", TypeError), (True, TypeError), (None, TypeError)])
     def test_rejects_a_bad_round_count(self, bos_fair_ce, k, error):
