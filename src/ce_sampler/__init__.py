@@ -16,7 +16,6 @@ from .games import (
     check_mixed_ne,
     check_pure_ne,
     expected_utility,
-    max_ce_deviation_gain,
     normalize,
 )
 from .ce_solver import (
@@ -46,7 +45,6 @@ from .coin_flip import (
     CheaterRequest,
     WcfSpec,
     flip_law,
-    outcome_distribution,
     run_honest,
     run_with_cheater,
 )
@@ -123,9 +121,7 @@ __all__ = [
     "honest_policy",
     "l1_distance",
     "marginal",
-    "max_ce_deviation_gain",
     "normalize",
-    "outcome_distribution",
     "play_extended_game",
     "policy_outcome",
     "rounds_for",

@@ -101,7 +101,7 @@ from math import lcm
 from typing import Literal, Mapping
 
 from .emulation import BitPrefix, MultisetEmulation, PreferenceOracle, bits_to_index, index_to_bits
-from .games import ZERO, Game, expected_utility, normalize
+from .games import ZERO, Game, as_fraction, expected_utility, normalize
 from .protocol import ProtocolConfig, check_policy, round_bias
 
 HALF = Fraction(1, 2)
@@ -358,7 +358,7 @@ class _Tree:
         self, policy: Mapping[BitPrefix, Fraction], dishonest: int, objective: str
     ) -> tuple[AdversaryOutcome, _Leaves]:
         honest = _check_players(dishonest)
-        policy = {tuple(prefix): Fraction(w) for prefix, w in policy.items()}
+        policy = {tuple(prefix): as_fraction(w) for prefix, w in policy.items()}
         check_policy(policy, self.k)
         weights = dict(self.honest_weights)
         for prefix, w in policy.items():

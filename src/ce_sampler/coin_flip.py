@@ -8,8 +8,9 @@ opponent the win with certainty.  Nobody aborts: a party that wanted to
 abort could simply have declared victory instead, so both parties always
 output the same bit.
 
-``flip_law`` states a flip's law once; sampling it, its exact
-distribution and the protocol's round tree all read it from there.
+``flip_law`` states a flip's law once, as the bit that wins and its
+exact probability; sampling a flip and the protocol's round tree both
+read it from there.
 
 The quantum protocol realizing this functionality for arbitrarily small
 bias is deliberately out of scope; everything here treats it as a black
@@ -83,14 +84,6 @@ def run_honest(spec: WcfSpec, randomness: RandomStream) -> int:
     """Both parties honest: the settled bit, fair whatever the bias cap."""
     bit, win = flip_law(spec)
     return bit if randomness.bernoulli(win) else 1 - bit
-
-
-def outcome_distribution(
-    spec: WcfSpec, cheater: Party, request: CheaterRequest
-) -> dict[int, Fraction]:
-    """Exact distribution of the settled bit with one cheating party."""
-    bit, win = flip_law(spec, cheater, request)
-    return {bit: win, 1 - bit: 1 - win}
 
 
 def run_with_cheater(

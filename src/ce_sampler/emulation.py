@@ -175,9 +175,12 @@ class PreferenceOracle:
     """One game's conditional payoff queries over an emulation table.
 
     The table's shape, its runs and its mixed nodes, belongs to the
-    emulation (see :class:`MultisetEmulation`); the oracle adds the game.
-    Per player, the utilities of the table's distinct cells are scaled by
-    the lcm of their denominators, so sums over leaf payoffs are ints.
+    emulation (see :class:`MultisetEmulation`); the oracle adds the game,
+    and this is where the two meet: construction raises ``ValueError``
+    naming any table profile outside the game, and every query raises it
+    for a player other than 1 or 2.  Per player, the utilities of the
+    table's distinct cells are scaled by the lcm of their denominators, so
+    sums over leaf payoffs are ints.
 
     Per player, one descending, so bottom-up, pass over the emulation's
     mixed nodes adds each node's two child block sums.  A block that is
@@ -192,37 +195,43 @@ class PreferenceOracle:
     """
 
     def __init__(self, em: MultisetEmulation, game: Game):
+        self._cells = dict.fromkeys(em.runs[1])  # the table's distinct profiles
+        for cell in self._cells:
+            if not game.contains(cell):
+                raise ValueError(
+                    f"emulation table profile {tuple(cell)} is outside the game's strategy space"
+                )
         self.em = em
         self.game = game
         self.k = em.k
+        self._scales: dict[int, tuple[int, dict[JointStrategy, int]]] = {}
         self._folds: dict[int, tuple[dict[int, int], list[int]]] = {}
 
-    @cached_property
-    def _scaled(self) -> dict[int, tuple[int, dict[JointStrategy, int]]]:
-        """Per player: the scale, and each cell's utility times it."""
-        cells = dict.fromkeys(self.em.runs[1])
-        out = {}
-        for player in (1, 2):
-            utilities = {cell: self.game.utility(player, cell) for cell in cells}
+    def _scaled(self, player: int) -> tuple[int, dict[JointStrategy, int]]:
+        """``player``'s scale, and each cell's utility times it."""
+        scaled = self._scales.get(player)
+        if scaled is None:
+            # Game.utility rejects a player other than 1 or 2.
+            utilities = {cell: self.game.utility(player, cell) for cell in self._cells}
             scale = lcm(*(u.denominator for u in utilities.values()))
-            out[player] = scale, {
+            scaled = self._scales[player] = scale, {
                 cell: u.numerator * (scale // u.denominator) for cell, u in utilities.items()
             }
-        return out
+        return scaled
 
     def scale(self, player: int) -> int:
         """The common denominator of ``player``'s utilities over the table."""
-        return self._scaled[player][0]
+        return self._scaled(player)[0]
 
     def numerators(self, player: int) -> dict[JointStrategy, int]:
         """``player``'s utility at each cell of the table, times ``scale(player)``."""
-        return self._scaled[player][1]
+        return self._scaled(player)[1]
 
-    def _node_sum(self, player: int, sums: dict[int, int], h: int, height: int) -> int:
-        """Node h's block sum times ``scale(player)``; its block is 2**height leaves wide."""
+    def _node_sum(self, numerators: dict, sums: dict[int, int], h: int, height: int) -> int:
+        """Node h's block sum, scaled as ``numerators``; its block is 2**height leaves wide."""
         total = sums.get(h)
         if total is None:  # not mixed: one cell throughout
-            total = self.numerators(player)[self.em.table[(h << height) - self.em.size]] << height
+            total = numerators[self.em.table[(h << height) - self.em.size]] << height
         return total
 
     def _fold(self, player: int) -> tuple[dict[int, int], list[int]]:
@@ -233,12 +242,13 @@ class PreferenceOracle:
         """
         fold = self._folds.get(player)
         if fold is None:
+            numerators = self.numerators(player)
             sums: dict[int, int] = {}
             preferred = [0] * self.em.size
             for h in reversed(self.em.mixed_nodes):
                 height = self.k - h.bit_length()  # of the children
-                zero = self._node_sum(player, sums, 2 * h, height)
-                one = self._node_sum(player, sums, 2 * h + 1, height)
+                zero = self._node_sum(numerators, sums, 2 * h, height)
+                one = self._node_sum(numerators, sums, 2 * h + 1, height)
                 preferred[h] = 0 if zero >= one else 1
                 sums[h] = zero + one
             fold = self._folds[player] = sums, preferred
@@ -250,7 +260,8 @@ class PreferenceOracle:
         if m > self.k:
             raise ValueError("prefix longer than the index width")
         h, height = (1 << m) | bits_to_index(prefix), self.k - m
-        return self._node_sum(player, self._fold(player)[0], h, height), 1 << height
+        sums = self._fold(player)[0]
+        return self._node_sum(self.numerators(player), sums, h, height), 1 << height
 
     def block_sum(self, player: int, prefix: BitPrefix) -> Fraction:
         total, _ = self._scaled_sum(player, prefix)

@@ -6,9 +6,12 @@ a fixed sequential order (player 1 first; the moves are deliberately not
 simultaneous).  Any Reject zeroes both payoffs, which is what removes
 the incentive to ignore the sampled suggestion: deviate in stage 2 and
 an honest opponent rejects, leaving the deviator with nothing.  The same
-Reject answers a false preference announcement in stage 1, which the
-honest party detects by checking every announcement against the
-announcer's true preference.
+Reject answers a false preference announcement in stage 1.  Each
+party's stage-3 answer is one call, ``check_move``, on the stage-1
+transcript and the opponent's move: the honest party compares every
+announcement in the transcript with the announcer's true preference.
+The stage-2 moves, the checks and the payoffs live on
+:class:`ExtendedOutcome`; the transcript holds stage 1 only.
 """
 
 from __future__ import annotations
@@ -17,14 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .games import ZERO, Game, JointDistribution, JointStrategy
-from .protocol import (
-    ACCEPT,
-    PartyBehavior,
-    ProtocolConfig,
-    Transcript,
-    Message,
-    run_protocol,
-)
+from .protocol import ACCEPT, PartyBehavior, ProtocolConfig, Transcript, run_protocol
 from .rng import RandomStream
 
 
@@ -59,22 +55,10 @@ def play_extended_game(
     suggestion = transcript.output
     move1 = party1.game_move(suggestion)
     move2 = party2.game_move(suggestion)
-    stage2 = JointStrategy(move1, move2)
-
-    party1.review_announcements(transcript)
-    party2.review_announcements(transcript)
-    check1 = party1.check_move(suggestion, move2)
-    check2 = party2.check_move(suggestion, move1, opponent_check=check1)
-    checks = (check1, check2)
-    payoffs = settle(game, stage2, checks)
-
-    transcript.payoffs = payoffs
-    if transcript.messages:
-        transcript.messages.append(Message("game_move", 1, None, move1))
-        transcript.messages.append(Message("game_move", 2, None, move2))
-        transcript.messages.append(Message("check_move", 1, None, check1))
-        transcript.messages.append(Message("check_move", 2, None, check2))
-    return ExtendedOutcome(stage2, checks, payoffs, transcript)
+    check1 = party1.check_move(transcript, move2)
+    check2 = party2.check_move(transcript, move1, opponent_check=check1)
+    stage2, checks = JointStrategy(move1, move2), (check1, check2)
+    return ExtendedOutcome(stage2, checks, settle(game, stage2, checks), transcript)
 
 
 def augmented_normal_form(game: Game) -> Game:

@@ -320,21 +320,3 @@ def check_ce(game: Game, p: JointDistribution) -> bool:
                 if alt != signal and _signal_value(game, p, player, signal, alt) > stay:
                     return False
     return True
-
-
-def max_ce_deviation_gain(game: Game, p: JointDistribution, player: int) -> Fraction:
-    """Best average gain any deviation function can achieve for ``player``.
-
-    The maximum over functions mapping suggestions to replacements
-    decomposes per suggestion, so each signal is optimized independently.
-    The result is always >= 0 (the identity function is a candidate);
-    ``p`` is an exact CE for ``player`` iff the result is 0.
-    """
-    _check_support(game, p)
-    count = game.rows if player == 1 else game.cols
-    gain = ZERO
-    for signal in range(count):
-        stay = _signal_value(game, p, player, signal, signal)
-        best = max(_signal_value(game, p, player, signal, alt) for alt in range(count))
-        gain += best - stay
-    return gain

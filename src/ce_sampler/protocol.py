@@ -10,14 +10,16 @@ Alice role and player 1's announced bit as Alice's winning value.  After
 k rounds both parties output the table entry at the assembled index.
 
 Party behavior is pluggable: the honest behavior announces truthfully,
-checks announcements (a preference is a deterministic function of the
-game and the emulation table, which both parties hold, so every
-opponent announcement is compared with the opponent's true preference),
-flips honestly, plays its own suggested strategy, and later accepts iff
-the opponent announced truthfully in every round and played their
-suggested strategy.  A caught lie is thus settled like a game-stage
+flips honestly, plays its own suggested strategy, and in stage 3 reads
+the finished transcript.  It accepts iff every opponent announcement
+matches the opponent's true preference and the opponent played their
+suggested strategy.  A preference is a deterministic function of the
+game and the emulation table, which both parties hold, so a false
+announcement is always caught; it is settled like a game-stage
 deviation: a Reject, and (0, 0) for both.  Dishonest behaviors may lie in
 any of these places; the channel itself is synchronous and lossless.
+Parties keep no per-trial state: every answer is a function of the
+node or of the transcript it is given.
 
 Every announcement and coin request is a function of the game, the
 emulation table and the node of the 2^k round tree, so a run binds its
@@ -112,9 +114,9 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class Message:
-    """One wire message: preference, coin result, game move or check move."""
+    """One stage-1 wire message: a preference or a coin result."""
 
-    kind: str  # "preference" | "coin_result" | "game_move" | "check_move"
+    kind: str  # "preference" | "coin_result"
     sender: int
     round_index: int | None
     value: object
@@ -133,7 +135,7 @@ class RoundRecord:
 
 @dataclass
 class Transcript:
-    """Full record of one run; the payoffs are filled in by the game stages.
+    """Full record of one stage-1 run.
 
     ``output`` is the profile both parties output: the table entry at ``ell``.
     """
@@ -142,23 +144,22 @@ class Transcript:
     ell: BitPrefix
     output: JointStrategy
     messages: list[Message] = field(default_factory=list)
-    payoffs: tuple[Fraction, Fraction] | None = None
 
 
 class PartyBehavior:
     """Honest behavior; subclasses override pieces to model deviations.
 
-    ``start`` binds the behavior to one run and clears its per-run state.
-    ``announce`` returns a preference sign; ``coin_request`` returns None
-    to flip honestly or a desired win probability to cheat;
-    ``review_announcements`` checks the opponent's signs in a finished
-    stage-1 transcript against the opponent's true preferences;
-    ``game_move`` picks the strategy actually played; ``check_move``
-    accepts or rejects after seeing the opponent's move, rejecting
-    outright if any opponent announcement was false.
+    ``start`` binds the behavior to one run: its seat and the run's
+    preference oracle.  ``announce`` returns a preference sign;
+    ``coin_request`` returns None to flip honestly or a desired win
+    probability to cheat; ``game_move`` picks the strategy actually
+    played; ``check_move`` is the stage-3 verdict, read from the finished
+    stage-1 transcript and the opponent's move (and, for player 2, player
+    1's verdict): reject if any opponent announcement differs from the
+    opponent's true preference or the opponent left their suggestion.
 
-    Between two ``start`` calls, ``announce`` and ``coin_request`` must be
-    functions of the prefix (and the signs, which the prefix fixes): the
+    A behavior keeps no per-trial state.  Between two ``start`` calls,
+    ``announce`` and ``coin_request`` must be functions of the prefix: the
     run asks each node once and reuses the answer in every later trial,
     and the exact analysis models behaviors the same way.  Every
     behavior here meets this.  A behavior whose answers should change
@@ -175,32 +176,13 @@ class PartyBehavior:
         player: int,
         oracle: PreferenceOracle,
     ) -> None:
-        self.game = game
-        self.em = em
-        self.config = config
         self.player = player
         self.oracle = oracle
-        self.opponent_lied = False
 
     def announce(self, prefix: BitPrefix) -> PreferenceSign:
         return self.oracle.preference(self.player, prefix)
 
-    def review_announcements(self, transcript: Transcript) -> None:
-        """Compare each opponent announcement with the opponent's true preference."""
-        opponent = 3 - self.player
-        truth = self.oracle.preferred_table(opponent)
-        lied = False
-        h = 1  # heap index of the round's node
-        for rec, bit in zip(transcript.rounds, transcript.ell):
-            if (rec.sign1 if opponent == 1 else rec.sign2) != 1 - 2 * truth[h]:
-                lied = True
-                break
-            h = 2 * h + bit
-        self.opponent_lied = lied
-
-    def coin_request(
-        self, prefix: BitPrefix, own_sign: PreferenceSign, opponent_sign: PreferenceSign
-    ) -> Fraction | None:
+    def coin_request(self, prefix: BitPrefix) -> Fraction | None:
         return None
 
     def game_move(self, suggestion: JointStrategy) -> int:
@@ -208,14 +190,18 @@ class PartyBehavior:
 
     def check_move(
         self,
-        suggestion: JointStrategy,
+        transcript: Transcript,
         opponent_move: int,
         opponent_check: str | None = None,
     ) -> str:
-        if self.opponent_lied:
-            return REJECT
-        expected = suggestion[2 - self.player]  # the opponent's suggested strategy
-        return ACCEPT if opponent_move == expected else REJECT
+        opponent = 3 - self.player
+        truth = self.oracle.preferred_table(opponent)
+        h = 1  # heap index of the round's node
+        for rec, bit in zip(transcript.rounds, transcript.ell):
+            if (rec.sign1 if opponent == 1 else rec.sign2) != 1 - 2 * truth[h]:
+                return REJECT
+            h = 2 * h + bit
+        return ACCEPT if opponent_move == transcript.output[opponent - 1] else REJECT
 
 
 class HonestParty(PartyBehavior):
@@ -250,9 +236,7 @@ class PolicyParty(PartyBehavior):
             return self.oracle.preference(self.player, prefix)
         return -self.oracle.preference(3 - self.player, prefix)
 
-    def coin_request(
-        self, prefix: BitPrefix, own_sign: PreferenceSign, opponent_sign: PreferenceSign
-    ) -> Fraction | None:
+    def coin_request(self, prefix: BitPrefix) -> Fraction | None:
         return self._w(prefix)
 
 
@@ -333,16 +317,16 @@ class ScriptedParty(PartyBehavior):
         override = self.script_announce.get(tuple(prefix))
         return override if override is not None else super().announce(prefix)
 
-    def coin_request(self, prefix, own_sign, opponent_sign):
+    def coin_request(self, prefix: BitPrefix) -> Fraction | None:
         return self.script_win.get(tuple(prefix))
 
     def game_move(self, suggestion: JointStrategy) -> int:
         return self.script_move if self.script_move is not None else super().game_move(suggestion)
 
-    def check_move(self, suggestion, opponent_move, opponent_check=None) -> str:
+    def check_move(self, transcript, opponent_move, opponent_check=None) -> str:
         if self.script_check is not None:
             return self.script_check
-        return super().check_move(suggestion, opponent_move, opponent_check)
+        return super().check_move(transcript, opponent_move, opponent_check)
 
 
 class _Run:
@@ -411,8 +395,8 @@ class _Run:
             entry = (None, bit, (record, record))
         else:
             spec = self.specs[0 if sign1 == 1 else 1]
-            req1 = self.party1.coin_request(prefix, sign1, sign2)
-            req2 = self.party2.coin_request(prefix, sign2, sign1)
+            req1 = self.party1.coin_request(prefix)
+            req2 = self.party2.coin_request(prefix)
             if req1 is not None and req2 is not None:
                 raise RuntimeError(
                     "both parties requested a biased coin; the functionality only "

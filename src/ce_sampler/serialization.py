@@ -220,14 +220,11 @@ def transcript_records(transcript: Transcript) -> list[dict]:
         }
         for message in transcript.messages
     ]
-    summary: dict[str, Any] = {
+    records.append({
         "kind": "summary",
         "ell": bit_string(transcript.ell),
         "output": f"{transcript.output.s1},{transcript.output.s2}",
-    }
-    if transcript.payoffs is not None:
-        summary["payoffs"] = [str(v) for v in transcript.payoffs]
-    records.append(summary)
+    })
     return records
 
 

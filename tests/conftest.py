@@ -24,6 +24,18 @@ def bos_fair_ce() -> JointDistribution:
 
 
 @pytest.fixture
+def corner_instance():
+    """A 3x3 game and the emulation of its point mass on (2, 2).
+
+    No 2x2 game holds the table's one profile.
+    """
+    game = Game.from_payoffs(
+        [[i + j for j in range(3)] for i in range(3)], [[i * j for j in range(3)] for i in range(3)]
+    )
+    return game, emulate(game, JointDistribution.point_mass(JointStrategy(2, 2)), F(1, 2))
+
+
+@pytest.fixture
 def diagonal_instance():
     """A 4x4 game whose uniform diagonal CE runs all-agreement at k = 4.
 

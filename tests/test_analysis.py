@@ -282,6 +282,25 @@ class TestDistanceBounds:
         assert report.l1_per_round[-1] <= epsilon
         assert report.all_hold
 
+    def test_float_policy_weights_are_rejected(self, bos, bos_fair_ce):
+        # The same rule as PolicyParty: steering weights are exact rationals.
+        em = emulate(bos, bos_fair_ce, F(1, 2))
+        with pytest.raises(TypeError):
+            PolicyParty({(): 0.1})
+        with pytest.raises(TypeError):
+            policy_outcome(em, bos, {(): 0.1}, 1)
+        with pytest.raises(TypeError):
+            verify_distance_bounds(em, bos, F(1, 10), 1, policy={(): 0.1})
+        exact = policy_outcome(em, bos, {(): "1/10"}, 1)
+        assert exact.policy[()] == F(1, 10)
+
+    def test_table_outside_the_game_is_rejected(self, bos, corner_instance):
+        _, em = corner_instance
+        with pytest.raises(ValueError, match=r"profile \(2, 2\)"):
+            honest_output_distribution(em, bos)
+        with pytest.raises(ValueError, match=r"profile \(2, 2\)"):
+            verify_distance_bounds(em, bos, F(1, 10), 1)
+
     def test_supplied_policy_is_analyzed(self, bos, bos_fair_ce):
         em = emulate(bos, bos_fair_ce, F(1, 2))
         report = verify_distance_bounds(

@@ -229,6 +229,37 @@ class TestIntegerOracle:
                 oracle.conditional_expected(player, (0,) * em.k, 0)
 
 
+class TestOracleMeetsGame:
+    """The oracle is where a game meets a table; it rejects what does not fit."""
+
+    def test_table_profile_outside_the_game_is_named(self, bos, corner_instance):
+        _, em = corner_instance
+        with pytest.raises(ValueError, match=r"profile \(2, 2\) is outside the game"):
+            PreferenceOracle(em, bos)
+
+    def test_a_table_inside_a_larger_game_is_accepted(self, bos, bos_fair_ce, corner_instance):
+        big, _ = corner_instance
+        oracle = PreferenceOracle(emulate(bos, bos_fair_ce, F(1, 2)), big)
+        assert oracle.block_sum(1, ()) == 4 * big.u1[0][0] + 4 * big.u1[1][1]
+
+    @pytest.mark.parametrize("player", [0, 3, -1])
+    def test_bad_player_is_rejected(self, bos, bos_fair_ce, player):
+        one_run = emulate(bos, JointDistribution.point_mass(JointStrategy(0, 0)), F(1, 2))
+        for em in (one_run, emulate(bos, bos_fair_ce, F(1, 2))):
+            oracle = PreferenceOracle(em, bos)
+            for query in (
+                lambda: oracle.preference(player, ()),
+                lambda: oracle.preferred_table(player),
+                lambda: oracle.block_sum(player, (0,)),
+                lambda: oracle.conditional_expected(player, (), 1),
+                lambda: oracle.scale(player),
+                lambda: oracle.numerators(player),
+            ):
+                with pytest.raises(ValueError, match="player must be 1 or 2"):
+                    query()
+            assert oracle.preference(1, ()) in (1, -1)  # a good query still answers
+
+
 class TestBitHelpers:
     def test_roundtrip(self):
         for k in (1, 3, 6):

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from ce_sampler import (
     CeObjective,
     Game,
@@ -91,13 +93,22 @@ class TestDeviation:
         )
         assert outcome.payoffs == (0, 0)
 
+    def test_table_outside_the_game_is_rejected(self, bos, bos_fair_ce, corner_instance):
+        _, em = corner_instance
+        config = ProtocolConfig(F(1, 10), F(1, 2), em.k)
+        with pytest.raises(ValueError, match=r"profile \(2, 2\) is outside the game"):
+            play_extended_game(
+                bos, bos_fair_ce, config, HonestParty(), HonestParty(), RandomStream(30),
+                em=em, record_messages=False,
+            )
+
     def test_second_checker_sees_the_first_move(self, bos, bos_fair_ce):
         observed = []
 
         class Recorder(HonestParty):
-            def check_move(self, suggestion, opponent_move, opponent_check=None):
+            def check_move(self, transcript, opponent_move, opponent_check=None):
                 observed.append((self.player, opponent_check))
-                return super().check_move(suggestion, opponent_move, opponent_check)
+                return super().check_move(transcript, opponent_move, opponent_check)
 
         config = ProtocolConfig.plan(bos, F(1, 10), F(1, 2))
         play_extended_game(

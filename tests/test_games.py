@@ -15,8 +15,8 @@ from ce_sampler import (
     check_mixed_ne,
     check_pure_ne,
     expected_utility,
-    max_ce_deviation_gain,
     normalize,
+    solve_ce,
 )
 from conftest import random_distribution, random_rational_game
 
@@ -173,22 +173,24 @@ class TestCorrelatedEquilibrium:
 
 
 class TestDeviationGain:
+    """``check_ce`` against the brute-force best gain of any deviation function."""
+
     def test_exact_ce_has_zero_gain(self, bos, bos_fair_ce):
-        assert max_ce_deviation_gain(bos, bos_fair_ce, 1) == 0
-        assert max_ce_deviation_gain(bos, bos_fair_ce, 2) == 0
+        assert brute_force_deviation_gain(bos, bos_fair_ce, 1) == 0
+        assert brute_force_deviation_gain(bos, bos_fair_ce, 2) == 0
+        assert check_ce(bos, bos_fair_ce)
 
     def test_mismatch_point_mass_gain(self, bos):
         point = JointDistribution.point_mass(JointStrategy(0, 1))
-        assert max_ce_deviation_gain(bos, point, 2) == 2
+        assert brute_force_deviation_gain(bos, point, 2) == 2
+        assert not check_ce(bos, point)
 
     def test_uniform_on_coinflip(self, coinflip):
         # The suggested bit is ignored by the best deviation (always
         # answer 0), which wins a quarter of the time on top of the
         # quarter the identity already collects.
         uniform = JointDistribution.uniform(list(coinflip.cells()))
-        oracle = brute_force_deviation_gain(coinflip, uniform, 1)
-        assert oracle == F(1, 4)
-        assert max_ce_deviation_gain(coinflip, uniform, 1) == F(1, 4)
+        assert brute_force_deviation_gain(coinflip, uniform, 1) == F(1, 4)
         assert not check_ce(coinflip, uniform)
 
     def test_matches_brute_force_on_random_instances(self):
@@ -196,18 +198,27 @@ class TestDeviationGain:
         for _ in range(30):
             game = random_rational_game(rng, rng.randint(2, 3), rng.randint(2, 3))
             p = random_distribution(rng, list(game.cells()))
-            for player in (1, 2):
-                assert max_ce_deviation_gain(game, p, player) == brute_force_deviation_gain(
-                    game, p, player
-                )
+            zero_gain = all(brute_force_deviation_gain(game, p, pl) == 0 for pl in (1, 2))
+            assert zero_gain == check_ce(game, p)
 
     def test_zero_gain_iff_ce(self):
+        # A random distribution is rarely a CE, so mix a solved CE with
+        # one: the mixtures cross the CE boundary in both directions.
         rng = random.Random(67)
-        for _ in range(30):
+        verdicts = set()
+        for _ in range(15):
             game = random_rational_game(rng, 2, rng.randint(2, 3))
-            p = random_distribution(rng, list(game.cells()))
-            zero_gain = all(max_ce_deviation_gain(game, p, pl) == 0 for pl in (1, 2))
-            assert zero_gain == check_ce(game, p)
+            ce = solve_ce(game)
+            noise = random_distribution(rng, list(game.cells()))
+            for t in (F(0), F(1, 8), F(1, 2), F(1)):
+                p = JointDistribution({
+                    cell: (1 - t) * ce.prob(cell) + t * noise.prob(cell)
+                    for cell in game.cells()
+                })
+                zero_gain = all(brute_force_deviation_gain(game, p, pl) == 0 for pl in (1, 2))
+                assert zero_gain == check_ce(game, p)
+                verdicts.add(zero_gain)
+        assert verdicts == {True, False}
 
 
 class TestDistributionTypes:

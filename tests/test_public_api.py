@@ -75,9 +75,7 @@ def test_exported_names_are_pinned():
         "honest_policy",
         "l1_distance",
         "marginal",
-        "max_ce_deviation_gain",
         "normalize",
-        "outcome_distribution",
         "play_extended_game",
         "policy_outcome",
         "rounds_for",

@@ -10,7 +10,6 @@ from ce_sampler import (
     RandomStream,
     WcfSpec,
     flip_law,
-    outcome_distribution,
     run_honest,
     run_with_cheater,
 )
@@ -147,18 +146,14 @@ class TestCheatingFlip:
         for w in (F(0), F(1, 4), F(1, 2), F(3, 5), F(1)):
             bit, granted = flip_law(spec, "alice", CheaterRequest(w))
             assert (bit, granted) == (0, min(w, F(1, 2) + F(1, 10)))
-            dist = outcome_distribution(spec, "alice", CheaterRequest(w))
-            assert dist[0] == granted and dist[1] == 1 - granted
 
     def test_bob_wins_on_opposite_bit(self):
         spec = WcfSpec(preferred_value_alice=0, bias=F(1, 20))
-        dist = outcome_distribution(spec, "bob", CheaterRequest(F(1)))
-        assert dist[1] == F(1, 2) + F(1, 20)
+        assert flip_law(spec, "bob", CheaterRequest(F(1))) == (1, F(1, 2) + F(1, 20))
 
     def test_saturated_request(self):
         spec = WcfSpec(0, F(1, 10))
-        dist = outcome_distribution(spec, "alice", CheaterRequest(F(1, 2) + F(1, 10)))
-        assert dist[0] == F(3, 5)
+        assert flip_law(spec, "alice", CheaterRequest(F(1, 2) + F(1, 10))) == (0, F(3, 5))
 
     def test_deliberate_loss_is_certain(self):
         spec = WcfSpec(0, F(1, 10))
@@ -169,29 +164,24 @@ class TestCheatingFlip:
     def test_empirical_matches_exact_distribution(self):
         spec = WcfSpec(1, F(1, 8))
         request = CheaterRequest(F(2, 5))
-        exact = outcome_distribution(spec, "bob", request)
+        bit, win = flip_law(spec, "bob", request)
         n = 20_000
         root = RandomStream(77)
-        zeros = sum(
-            run_with_cheater(spec, "bob", request, root.child(i)) == 0
+        wins = sum(
+            run_with_cheater(spec, "bob", request, root.child(i)) == bit
             for i in range(n)
         )
-        assert abs(zeros / n - float(exact[0])) < 0.02
+        assert abs(wins / n - float(win)) < 0.02
 
     @pytest.mark.parametrize("preferred", [0, 1])
     @pytest.mark.parametrize("role", ["alice", "bob"])
-    def test_law_matches_outcome_distribution(self, preferred, role):
+    def test_law_names_the_cheaters_bit_and_its_clamped_probability(self, preferred, role):
         spec = WcfSpec(preferred, F(1, 10))
         wins_on = preferred if role == "alice" else 1 - preferred
         assert flip_law(spec) == (preferred, F(1, 2))
         for w in (F(0), F(1, 3), F(3, 5), F(1)):
-            request = CheaterRequest(w)
             granted = min(w, F(3, 5))
-            assert flip_law(spec, role, request) == (wins_on, granted)
-            assert outcome_distribution(spec, role, request) == {
-                wins_on: granted,
-                1 - wins_on: 1 - granted,
-            }
+            assert flip_law(spec, role, CheaterRequest(w)) == (wins_on, granted)
 
 
 class TestValidation:

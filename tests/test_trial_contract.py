@@ -258,8 +258,41 @@ class TestRebinding:
             lied = outcome.transcript.ell[0] == 0
             seen.add(lied)
             assert outcome.checks == (("A", "R") if lied else ("A", "A"))
-            assert sigma.opponent_lied is lied
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("seat", [1, 2])
+    def test_each_verdict_reads_its_own_transcript(self, bos, bos_fair_ce, seat):
+        # One σ, bound once, checks lying and truthful transcripts in play
+        # order, reversed, twice each and shuffled: a verdict depends on
+        # its own transcript and the opponent's move alone.
+        em = emulate(bos, bos_fair_ce, F(1, 2))
+        config = ProtocolConfig(F(1, 10), F(1, 2), em.k)
+        liar, sigma = ScriptedParty(announce={(0,): -1}), HonestParty()
+        parties = (liar, sigma) if seat == 1 else (sigma, liar)
+        cases = []  # (transcript, opponent move, verdict σ must give)
+        for t in range(24):
+            outcome = play_extended_game(
+                bos, bos_fair_ce, config, *parties, RandomStream(95).child(t),
+                em=em, record_messages=False,
+            )
+            transcript = outcome.transcript
+            lied = transcript.ell[0] == 0  # the lie is told below a first bit of 0
+            cases.append((transcript, transcript.output[seat - 1], "R" if lied else "A"))
+            assert outcome.checks[2 - seat] == cases[-1][2]
+        oracle = sigma.oracle
+        for t in range(8):  # truthful transcripts from a run σ is not part of
+            transcript = run_protocol(
+                bos, bos_fair_ce, config, HonestParty(), HonestParty(),
+                RandomStream(96).child(t), em=em, record_messages=False,
+            )
+            cases.append((transcript, transcript.output[seat - 1], "A"))
+            cases.append((transcript, 1 - transcript.output[seat - 1], "R"))
+        assert {verdict for _, _, verdict in cases} == {"A", "R"}
+        order = [*reversed(cases), *(case for case in cases for _ in range(2))]
+        order += random.Random(97).sample(cases, len(cases))
+        for transcript, move, verdict in order:
+            assert sigma.check_move(transcript, move) == verdict
+        assert sigma.oracle is oracle  # checking rebinds nothing
 
     def test_run_protocol_after_play_keeps_its_records(self, bos, bos_fair_ce):
         em = emulate(bos, bos_fair_ce, F(1, 2))
