@@ -51,9 +51,12 @@ outright.  Inside the passes a node is named by its heap index alone:
 the root is 1, the children of h are 2h and 2h + 1, the node of prefix
 ``bits`` at depth m is ``2**m + bits_to_index(bits)``, and leaf
 ``2**k + i`` is table entry i.  Steering weights are held as a heap-index
-map in which a missing node has w = 0, and preferences come from the
-oracle's heap-ordered preference tables.  Prefixes are built only at the
-public boundary: policies and leaf distributions.
+map in which a missing node has w = 0, and a player's preferences are the
+oracle's set of mixed nodes where that player prefers 1.  Prefixes are
+built only at the public boundary: a policy is a lazy read-only mapping
+from every internal node's prefix, level by level, to its weight, which
+reads the heap-index map on demand, and a leaf distribution holds the
+positive leaves only.  Nothing of size 2**k is built.
 
 The tree is run-length.  A node is *mixed* when a run of equal table
 entries starts strictly inside its block (see
@@ -80,7 +83,7 @@ denominators, and a mass is its numerator over the product of those
 scales.  ``Fraction``s are built only for the returned values, weights
 and positive leaves, so every result is the same exact rational as one
 computed in Fractions throughout.  Each verifier asks all its questions
-of one tree, which builds one oracle and its two preference tables; the
+of one tree, which builds one oracle and its two preference sets; the
 table's runs and mixed nodes are found once per emulation and shared by
 every tree over it.
 
@@ -93,16 +96,17 @@ concrete instances of them.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import lcm
-from typing import Literal, Mapping
+from typing import Literal
 
 from .emulation import BitPrefix, MultisetEmulation, PreferenceOracle, bits_to_index, index_to_bits
 from .games import ZERO, Game, as_fraction, expected_utility, normalize
-from .protocol import ProtocolConfig, check_policy, round_bias
+from .protocol import ProtocolConfig, _is_internal_node, check_policy, round_bias
 
 HALF = Fraction(1, 2)
 
@@ -110,7 +114,7 @@ AdversaryPower = Literal["bias-only", "truthful", "unrestricted", "checked"]
 Objective = Literal["max-own", "min-opponent"]
 
 LeafDistribution = dict[BitPrefix, Fraction]
-AdversaryPolicy = dict[BitPrefix, Fraction]  # prefix -> P[next bit != honest-preferred]
+AdversaryPolicy = Mapping[BitPrefix, Fraction]  # prefix -> P[next bit != honest-preferred]
 Weights = dict[int, Fraction]  # heap index -> steering weight; a missing node has w = 0
 
 POWERS = ("bias-only", "truthful", "unrestricted", "checked")
@@ -135,12 +139,12 @@ class _Leaves:
         }
 
 
-def _leaf_masses(honest_bits: list[int], weights: Weights, k: int) -> _Leaves:
+def _leaf_masses(honest_ones: frozenset[int], weights: Weights, k: int) -> _Leaves:
     """Top-down pass: the positive leaf masses, as ints over one denominator.
 
     Node h keeps the share ``1 - w`` of its mass on the honest party's
-    preferred bit ``honest_bits[h]`` and sends the rest to the other child,
-    where w is ``weights.get(h, ZERO)``.  Each level's weights are scaled by
+    preferred bit, 1 exactly at the nodes in ``honest_ones``, and sends the
+    rest to the other child, where w is ``weights.get(h, ZERO)``.  Each level's weights are scaled by
     the lcm of their denominators, which multiplies into the common
     denominator.  Only nodes with positive mass are visited.
     """
@@ -152,7 +156,7 @@ def _leaf_masses(honest_bits: list[int], weights: Weights, k: int) -> _Leaves:
         for (h, mass), w in zip(nodes, level):
             moved = mass * w.numerator * (scale // w.denominator)
             kept = mass * scale - moved
-            zero, one = (kept, moved) if honest_bits[h] == 0 else (moved, kept)
+            zero, one = (moved, kept) if h in honest_ones else (kept, moved)
             if zero:
                 children.append((2 * h, zero))
             if one:
@@ -162,13 +166,52 @@ def _leaf_masses(honest_bits: list[int], weights: Weights, k: int) -> _Leaves:
     return _Leaves(k, [(h - size, mass) for h, mass in nodes], denominator)
 
 
-def _policy(weights: Weights, k: int) -> AdversaryPolicy:
-    """The public policy: every internal node's weight keyed by its prefix, level by level."""
-    return {
-        prefix: weights.get(h, ZERO)
-        for m in range(k)
-        for h, prefix in enumerate(product((0, 1), repeat=m), 1 << m)
-    }
+class _Policy(Mapping):
+    """The public policy: every internal node's weight keyed by its prefix, level by level.
+
+    A read-only view of heap-index weights, so it holds nothing of size
+    2**k: a lookup maps the prefix to its heap index, and ``items`` and
+    ``values`` walk heap indices, which run in key order.  Equality is a
+    mapping's, so it equals the dict of its items.
+    """
+
+    def __init__(self, weights: Weights, k: int):
+        self._weights = weights
+        self._k = k
+
+    def __len__(self) -> int:
+        return (1 << self._k) - 1
+
+    def __iter__(self):
+        return (prefix for m in range(self._k) for prefix in product((0, 1), repeat=m))
+
+    def __getitem__(self, prefix: BitPrefix) -> Fraction:
+        if not (isinstance(prefix, tuple) and _is_internal_node(prefix, self._k)):
+            raise KeyError(prefix)
+        return self._weights.get((1 << len(prefix)) | bits_to_index(prefix), ZERO)
+
+    def _values(self):
+        get = self._weights.get
+        return (get(h, ZERO) for h in range(1, 1 << self._k))
+
+    def items(self) -> ItemsView:
+        return _PolicyItems(self)
+
+    def values(self) -> ValuesView:
+        return _PolicyValues(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _PolicyItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._values())
+
+
+class _PolicyValues(ValuesView):
+    def __iter__(self):
+        return self._mapping._values()
 
 
 def _l1_per_round(q: _Leaves, p: _Leaves) -> tuple[Fraction, ...]:
@@ -236,7 +279,7 @@ def _steering_candidates(
 class _Tree:
     """The round tree of one emulation and game, shared by a verifier's questions.
 
-    One oracle and its two preference tables serve every pass.  The oracle
+    One oracle and its two preference sets serve every pass.  The oracle
     is built on first use, so arguments are checked before any tree work.
     Nodes are heap indices and values stay ints over common denominators
     inside the passes; prefixes and ``Fraction``s are built only on the way
@@ -261,12 +304,12 @@ class _Tree:
         Both players prefer 0 at a node that is not mixed, so only a mixed
         node can be a coin.
         """
-        table1, table2 = self.oracle.preferred_table(1), self.oracle.preferred_table(2)
-        return {h: HALF for h in self.em.mixed_nodes if table1[h] != table2[h]}
+        coins = self.oracle.prefers_one(1) ^ self.oracle.prefers_one(2)
+        return dict.fromkeys(coins, HALF)
 
     @cached_property
     def honest_leaves(self) -> _Leaves:
-        return _leaf_masses(self.oracle.preferred_table(1), self.honest_weights, self.k)
+        return _leaf_masses(self.oracle.prefers_one(1), self.honest_weights, self.k)
 
     def expectation(self, leaves: _Leaves, player: int, floor_zero: bool = False) -> Fraction:
         numerators, table = self.oracle.numerators(player), self.em.table
@@ -277,7 +320,7 @@ class _Tree:
 
     def leaves(self, weights: Weights, dishonest: int) -> _Leaves:
         honest = _check_players(dishonest)
-        return _leaf_masses(self.oracle.preferred_table(honest), weights, self.k)
+        return _leaf_masses(self.oracle.prefers_one(honest), weights, self.k)
 
     def backward_induction(
         self, bias: Fraction, dishonest: int, power: str, objective: str
@@ -311,13 +354,12 @@ class _Tree:
         scale = lcm(*(w.denominator for options in candidates.values() for w in options))
         picks = {}  # (truthfully agrees, sign of the gain) -> (weight, its numerator over L)
         for agrees, options in candidates.items():
-            for gain_sign in (-1, 0, 1):
-                # A weight w is worth ``v + w * gain`` where the honest side is
-                # worth v; ``max`` keeps the first of equals, the honest-looking one.
-                w = max(options, key=lambda w: w * gain_sign)
+            # A weight w is worth ``v + w * gain`` where the honest side is worth
+            # v; ``max`` and ``min`` keep the first of equals, the honest-looking one.
+            for gain_sign, w in zip((-1, 0, 1), (min(options), options[0], max(options))):
                 picks[agrees, gain_sign] = (w, w.numerator * (scale // w.denominator))
-        honest_bits = self.oracle.preferred_table(honest)
-        dishonest_bits = self.oracle.preferred_table(dishonest)
+        honest_ones = self.oracle.prefers_one(honest)
+        dishonest_ones = self.oracle.prefers_one(dishonest)
         table, k, size = self.em.table, self.k, 1 << self.k
         units = [scale**h for h in range(k + 1)]  # L**h: a leaf value lifted h levels
 
@@ -333,10 +375,10 @@ class _Tree:
 
         for h in reversed(self.em.mixed_nodes):
             height = k - h.bit_length()  # of the children
-            b_h = honest_bits[h]
+            b_h = h in honest_ones
             v_honest_side = node_value(2 * h + b_h, height)
             gain = node_value(2 * h + 1 - b_h, height) - v_honest_side
-            w, numerator = picks[dishonest_bits[h] == b_h, (gain > 0) - (gain < 0)]
+            w, numerator = picks[(h in dishonest_ones) == b_h, (gain > 0) - (gain < 0)]
             values[h] = scale * v_honest_side + numerator * gain
             weights[h] = w
 
@@ -350,7 +392,7 @@ class _Tree:
         value, weights = self.backward_induction(bias, dishonest, power, objective)
         leaves = self.leaves(weights, dishonest)
         outcome = AdversaryOutcome(
-            value, _policy(weights, self.k), leaves.distribution(), dishonest, bias, power
+            value, _Policy(weights, self.k), leaves.distribution(), dishonest, bias, power
         )
         return outcome, leaves
 
@@ -367,7 +409,7 @@ class _Tree:
         max_own = objective == "max-own"
         value = self.expectation(leaves, dishonest if max_own else honest, floor_zero=max_own)
         outcome = AdversaryOutcome(
-            value, _policy(weights, self.k), leaves.distribution(), dishonest, ZERO, "scripted"
+            value, _Policy(weights, self.k), leaves.distribution(), dishonest, ZERO, "scripted"
         )
         return outcome, leaves
 
@@ -387,7 +429,7 @@ def honest_policy(em: MultisetEmulation, game: Game) -> AdversaryPolicy:
     Feeding this policy to :func:`policy_outcome` reproduces the honest
     distribution exactly.
     """
-    return _policy(_Tree(em, game).honest_weights, em.k)
+    return _Policy(_Tree(em, game).honest_weights, em.k)
 
 
 def worst_case_adversary(
@@ -485,7 +527,7 @@ def verify_distance_bounds(
     supplied policy).  Failed verdicts are reported, not raised; for
     powers beyond bias-only they do occur.
     """
-    epsilon = Fraction(epsilon)
+    epsilon = as_fraction(epsilon)
     k = em.k
     bias = round_bias(epsilon, k)
     tree = _Tree(em, normalize(game))
@@ -605,7 +647,7 @@ def truthful_announcements_optimal(
     honest party σ does check announcements, which settles every lie to
     (0, 0); the ``checked`` power models the adversary σ faces.
     """
-    epsilon = Fraction(epsilon)
+    epsilon = as_fraction(epsilon)
     bias = round_bias(epsilon, em.k)
     tree = _Tree(em, normalize(game))
     for dishonest in (1, 2):

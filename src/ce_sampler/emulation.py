@@ -187,10 +187,10 @@ class PreferenceOracle:
     not mixed is one cell's numerator times the block's width, so the pass
     keeps sums at mixed nodes only and costs O(mixed nodes), not O(2^k).
     Prefix blocks at the same depth all have the same width, so comparing
-    the two child sums compares the branches, and the same pass fills the
-    player's table of preferred next bits, one per internal node in heap
-    order (entry 0 is unused).  The two halves of a block that is not
-    mixed tie, so its entry is 0.  A ``Fraction`` is built only when a sum
+    the two child sums compares the branches, and the same pass collects
+    the set of mixed nodes where the player prefers 1.  The two halves of
+    a block that is not mixed tie, so the player prefers 0 there, and
+    nothing of size 2^k is built.  A ``Fraction`` is built only when a sum
     or an expectation is requested.
     """
 
@@ -205,7 +205,7 @@ class PreferenceOracle:
         self.game = game
         self.k = em.k
         self._scales: dict[int, tuple[int, dict[JointStrategy, int]]] = {}
-        self._folds: dict[int, tuple[dict[int, int], list[int]]] = {}
+        self._folds: dict[int, tuple[dict[int, int], frozenset[int]]] = {}
 
     def _scaled(self, player: int) -> tuple[int, dict[JointStrategy, int]]:
         """``player``'s scale, and each cell's utility times it."""
@@ -234,8 +234,8 @@ class PreferenceOracle:
             total = numerators[self.em.table[(h << height) - self.em.size]] << height
         return total
 
-    def _fold(self, player: int) -> tuple[dict[int, int], list[int]]:
-        """The mixed nodes' block sums and ``player``'s preferred-bit table.
+    def _fold(self, player: int) -> tuple[dict[int, int], frozenset[int]]:
+        """The mixed nodes' block sums and the nodes where ``player`` prefers 1.
 
         This is the preference rule, and the only place it is written: ties
         prefer 0.
@@ -244,14 +244,15 @@ class PreferenceOracle:
         if fold is None:
             numerators = self.numerators(player)
             sums: dict[int, int] = {}
-            preferred = [0] * self.em.size
+            ones = []
             for h in reversed(self.em.mixed_nodes):
                 height = self.k - h.bit_length()  # of the children
                 zero = self._node_sum(numerators, sums, 2 * h, height)
                 one = self._node_sum(numerators, sums, 2 * h + 1, height)
-                preferred[h] = 0 if zero >= one else 1
+                if zero < one:
+                    ones.append(h)
                 sums[h] = zero + one
-            fold = self._folds[player] = sums, preferred
+            fold = self._folds[player] = sums, frozenset(ones)
         return fold
 
     def _scaled_sum(self, player: int, prefix: BitPrefix) -> tuple[int, int]:
@@ -272,8 +273,11 @@ class PreferenceOracle:
         total, width = self._scaled_sum(player, tuple(prefix) + (next_bit,))
         return Fraction(total, self.scale(player) * width)
 
-    def preferred_table(self, player: int) -> list[int]:
-        """``player``'s preferred next bit at every internal node, in heap order."""
+    def prefers_one(self, player: int) -> frozenset[int]:
+        """The internal nodes, as heap indices, where ``player`` prefers next bit 1.
+
+        Every one is mixed; at every other internal node ``player`` prefers 0.
+        """
         return self._fold(player)[1]
 
     def preference(self, player: int, prefix: BitPrefix) -> int:
@@ -281,7 +285,7 @@ class PreferenceOracle:
         m = len(prefix)
         if m >= self.k:
             raise ValueError("prefix must leave at least one undecided bit")
-        return 1 - 2 * self.preferred_table(player)[(1 << m) | bits_to_index(prefix)]
+        return -1 if (1 << m) | bits_to_index(prefix) in self.prefers_one(player) else 1
 
 
 # ---------------------------------------------------------------------------

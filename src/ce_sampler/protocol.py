@@ -195,10 +195,10 @@ class PartyBehavior:
         opponent_check: str | None = None,
     ) -> str:
         opponent = 3 - self.player
-        truth = self.oracle.preferred_table(opponent)
+        prefers_one = self.oracle.prefers_one(opponent)
         h = 1  # heap index of the round's node
         for rec, bit in zip(transcript.rounds, transcript.ell):
-            if (rec.sign1 if opponent == 1 else rec.sign2) != 1 - 2 * truth[h]:
+            if (rec.sign1 if opponent == 1 else rec.sign2) != (-1 if h in prefers_one else 1):
                 return REJECT
             h = 2 * h + bit
         return ACCEPT if opponent_move == transcript.output[opponent - 1] else REJECT

@@ -3,8 +3,10 @@
 import collections
 import hashlib
 import itertools
+import pickle
 import random
 import re
+import tracemalloc
 from fractions import Fraction as F
 from functools import cached_property
 from math import lcm
@@ -294,6 +296,37 @@ class TestDistanceBounds:
         exact = policy_outcome(em, bos, {(): "1/10"}, 1)
         assert exact.policy[()] == F(1, 10)
 
+    def test_float_epsilon_is_rejected(self, bos, bos_fair_ce):
+        # The same rule as ProtocolConfig: epsilon is an exact rational.
+        em = emulate(bos, bos_fair_ce, F(1, 2))
+        with pytest.raises(TypeError):
+            ProtocolConfig(0.1, F(1, 2), em.k)
+        with pytest.raises(TypeError):
+            verify_distance_bounds(em, bos, 0.1, 1)
+        with pytest.raises(TypeError):
+            truthful_announcements_optimal(em, bos, 0.1)
+        exact = verify_distance_bounds(em, bos, "1/10", 1)
+        assert exact.epsilon == F(1, 10) and exact.bias == F(1, 60)
+        assert truthful_announcements_optimal(em, bos, "1/10") is True
+
+    def test_verifiers_build_nothing_of_size_2_to_the_k(self, bos, bos_fair_ce):
+        delta, epsilon = F(bos.n_cells, 1 << 18), F(1, 10)
+        em = emulate(bos, bos_fair_ce, delta)
+        assert em.k == 18
+        em.mixed_nodes  # the table's shape is the emulation's, found once and kept
+        config = ProtocolConfig(epsilon, delta, em.k)
+        tracemalloc.start()
+        try:
+            report = verify_distance_bounds(em, bos, epsilon, 1)
+            verdicts = verify_payoff_guarantees(em, bos, config)
+            truthful = truthful_announcements_optimal(em, bos, epsilon)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.all_hold and all(verdicts.values()) and truthful
+        assert len(report.policy) == (1 << 18) - 1
+        assert peak < 1 << 20, peak
+
     def test_table_outside_the_game_is_rejected(self, bos, corner_instance):
         _, em = corner_instance
         with pytest.raises(ValueError, match=r"profile \(2, 2\)"):
@@ -581,6 +614,11 @@ def dense_preferred_table(em, game, player):
     return table
 
 
+def ones_of(table):
+    """The heap indices of a dense preferred-bit table's 1-entries."""
+    return frozenset(h for h, bit in enumerate(table) if bit)
+
+
 class DenseTree(analysis._Tree):
     """The round tree swept in full: every node of every level is visited.
 
@@ -606,11 +644,11 @@ class DenseTree(analysis._Tree):
 
     @cached_property
     def honest_leaves(self):
-        return analysis._leaf_masses(self.tables[1], self.honest_weights, self.k)
+        return analysis._leaf_masses(ones_of(self.tables[1]), self.honest_weights, self.k)
 
     def leaves(self, weights, dishonest):
         honest = analysis._check_players(dishonest)
-        return analysis._leaf_masses(self.tables[honest], weights, self.k)
+        return analysis._leaf_masses(ones_of(self.tables[honest]), weights, self.k)
 
     def expectation(self, leaves, player, floor_zero=False):
         values, scale = dense_leaf_numerators(self.em, self.game, player)
@@ -739,7 +777,10 @@ class TestRunLengthEngine:
     def test_oracle_matches_full_cumsum(self, game, em):
         oracle = PreferenceOracle(em, game)
         for player in (1, 2):
-            assert oracle.preferred_table(player) == dense_preferred_table(em, game, player)
+            ones = oracle.prefers_one(player)
+            assert isinstance(ones, frozenset)
+            assert ones == ones_of(dense_preferred_table(em, game, player))
+            assert ones <= set(em.mixed_nodes)
             leaf = [game.utility(player, cell) for cell in em.table]
             for m in range(em.k + 1):
                 width = 1 << (em.k - m)
@@ -762,7 +803,7 @@ class TestRunLengthEngine:
         oracles = [PreferenceOracle(em, g) for g in games]
         for player in (1, 2):  # interleaved, so each oracle reads what the other left
             for g, oracle in zip(games, oracles):
-                assert oracle.preferred_table(player) == dense_preferred_table(em, g, player)
+                assert oracle.prefers_one(player) == ones_of(dense_preferred_table(em, g, player))
         for g, oracle in zip(games, oracles):
             for player in (1, 2):
                 leaf = [g.utility(player, cell) for cell in em.table]
@@ -778,7 +819,7 @@ class TestRunLengthEngine:
         em = emulate(game, random_distribution(rng, list(game.cells())), F(1, 4))
         assert "runs" not in vars(em) and "mixed_nodes" not in vars(em)
         fresh = MultisetEmulation(k=em.k, table=em.table, source=em.source, delta=em.delta)
-        PreferenceOracle(em, game).preferred_table(1)
+        PreferenceOracle(em, game).prefers_one(1)
         assert "runs" in vars(em) and "mixed_nodes" in vars(em)
         # The shape is not a field: equality and serialization do not see it.
         assert em == fresh and emulation_to_json(em) == emulation_to_json(fresh)
@@ -807,6 +848,48 @@ class TestRunLengthEngine:
             adv = worst_case_adversary(em, game, F(1, 40), cheater, power, objective)
             assert list(adv.policy) == prefixes, (power, objective, cheater)
         assert list(policy_outcome(em, game, {}, 1).policy) == prefixes
+
+    @pytest.mark.parametrize("game, em", layouts())
+    def test_policies_are_lazy_mappings_that_equal_dense_dicts(self, game, em):
+        def reference(weights):
+            return {
+                prefix: weights.get((1 << len(prefix)) | bits_to_index(prefix), F(0))
+                for prefix in prefixes_of(em.k)
+            }
+
+        tree = analysis._Tree(em, game)
+        cases = [(honest_policy(em, game), reference(tree.honest_weights), None)]
+        for power, objective, cheater in itertools.product(
+            POWERS, ("max-own", "min-opponent"), (1, 2)
+        ):
+            adv = worst_case_adversary(em, game, F(1, 40), cheater, power, objective)
+            _, weights = tree.backward_induction(F(1, 40), cheater, power, objective)
+            cases.append((adv.policy, reference(weights), (adv, objective)))
+        for policy, dense_policy, worst in cases:
+            assert not isinstance(policy, dict)
+            assert len(policy) == len(dense_policy) == (1 << em.k) - 1
+            assert list(policy) == list(dense_policy)
+            assert list(policy.items()) == list(dense_policy.items())
+            assert list(policy.values()) == list(dense_policy.values())
+            assert policy == dense_policy and dense_policy == policy
+            assert dict(policy) == dense_policy
+            for off_tree in ((0,) * em.k, (1,) * (em.k + 1), (2,), (0, "1"), [0], "0"):
+                with pytest.raises(KeyError):
+                    policy[off_tree]
+                assert off_tree not in policy
+            copy = pickle.loads(pickle.dumps(policy))
+            assert type(copy) is type(policy) and copy == dense_policy
+            assert list(copy.items()) == list(dense_policy.items())
+            if worst is None:
+                assert repr(policy) == repr(honest_policy(em, game))
+                continue
+            adv, objective = worst
+            again = worst_case_adversary(em, game, adv.bias, adv.dishonest, adv.power, objective)
+            assert repr(policy) == repr(again.policy)
+            replay = policy_outcome(em, game, policy, adv.dishonest, objective)
+            assert replay.value == adv.value
+            assert replay.policy == policy
+            assert replay.leaf_distribution == adv.leaf_distribution
 
     @pytest.mark.parametrize("game, em", layouts())
     def test_scripted_weights_off_the_mixed_nodes(self, game, em, dense):

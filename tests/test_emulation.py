@@ -148,8 +148,9 @@ class TestConditionals:
         for game, em in cases:
             oracle = PreferenceOracle(em, game)
             for player in (1, 2):
-                table = oracle.preferred_table(player)
-                assert len(table) == em.size
+                ones = oracle.prefers_one(player)
+                assert all(1 <= h < em.size for h in ones)
+                table = [int(h in ones) for h in range(em.size)]
                 for m in range(em.k):
                     prefixes = [index_to_bits(j, m) for j in range(1 << m)]
                     assert table[1 << m : 2 << m] == [
@@ -206,7 +207,8 @@ class TestIntegerOracle:
                          oracle.conditional_expected(player, prefix, 1))
                         for prefix in prefixes
                     ] == [(zero / (width // 2), one / (width // 2)) for zero, one in halves]
-                    assert oracle.preferred_table(player)[1 << m : 2 << m] == [
+                    ones = oracle.prefers_one(player)
+                    assert [int(h in ones) for h in range(1 << m, 2 << m)] == [
                         0 if zero >= one else 1 for zero, one in halves
                     ]
 
@@ -249,7 +251,7 @@ class TestOracleMeetsGame:
             oracle = PreferenceOracle(em, bos)
             for query in (
                 lambda: oracle.preference(player, ()),
-                lambda: oracle.preferred_table(player),
+                lambda: oracle.prefers_one(player),
                 lambda: oracle.block_sum(player, (0,)),
                 lambda: oracle.conditional_expected(player, (), 1),
                 lambda: oracle.scale(player),
