@@ -144,9 +144,10 @@ def _leaf_masses(honest_ones: frozenset[int], weights: Weights, k: int) -> _Leav
 
     Node h keeps the share ``1 - w`` of its mass on the honest party's
     preferred bit, 1 exactly at the nodes in ``honest_ones``, and sends the
-    rest to the other child, where w is ``weights.get(h, ZERO)``.  Each level's weights are scaled by
-    the lcm of their denominators, which multiplies into the common
-    denominator.  Only nodes with positive mass are visited.
+    rest to the other child, where w is ``weights.get(h, ZERO)``.  Each
+    level's weights are scaled by the lcm of their denominators, which
+    multiplies into the common denominator.  Only nodes with positive mass
+    are visited.
     """
     nodes, denominator = [(1, 1)], 1  # (heap index, mass numerator)
     for _ in range(k):
