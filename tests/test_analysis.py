@@ -313,7 +313,7 @@ class TestDistanceBounds:
         delta, epsilon = F(bos.n_cells, 1 << 18), F(1, 10)
         em = emulate(bos, bos_fair_ce, delta)
         assert em.k == 18
-        em.mixed_nodes  # the table's shape is the emulation's, found once and kept
+        em.mixed_nodes  # built before tracing: the run scan belongs to the emulation, not the verifiers
         config = ProtocolConfig(epsilon, delta, em.k)
         tracemalloc.start()
         try:
