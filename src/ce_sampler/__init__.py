@@ -69,7 +69,6 @@ from .analysis import (
     AnalysisReport,
     deviation_gain_bound_holds,
     honest_output_distribution,
-    honest_policy,
     policy_outcome,
     truthful_announcements_optimal,
     verify_distance_bounds,
@@ -118,7 +117,6 @@ __all__ = [
     "expected_utility",
     "flip_law",
     "honest_output_distribution",
-    "honest_policy",
     "l1_distance",
     "marginal",
     "normalize",

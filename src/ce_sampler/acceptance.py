@@ -76,10 +76,6 @@ class CriterionResult:
     detail: str
     elapsed: float
 
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"{status}  {self.name}  ({self.elapsed:.2f}s)  {self.detail}"
-
 
 _REGISTRY: list[tuple[str, float, Callable[[], str]]] = []
 
@@ -131,14 +127,6 @@ def run_acceptance(only: str | None = None) -> list[CriterionResult]:
 def bundled_game(name: str) -> Game:
     text = resources.files("ce_sampler").joinpath(f"data/{name}.json").read_text()
     return parse_game(json.loads(text), where=f"bundled:{name}")
-
-
-def _bos() -> Game:
-    return bundled_game("bos")
-
-
-def _coinflip() -> Game:
-    return bundled_game("coinflip")
 
 
 def _bos_fair_ce() -> JointDistribution:
@@ -222,7 +210,7 @@ def battery_payoff_verdicts() -> tuple[dict, ...]:
 
 @_criterion("bos_equilibria", budget=1.0)
 def _check_bos_equilibria() -> str:
-    game = _bos()
+    game = bundled_game("bos")
     pure = {tuple(s) for s in game.cells() if check_pure_ne(game, s)}
     assert pure == {(0, 0), (1, 1)}, f"pure equilibria {pure}"
     mixed = ProductDistribution((F(2, 3), F(1, 3)), (F(1, 3), F(2, 3)))
@@ -238,7 +226,7 @@ def _check_bos_equilibria() -> str:
 
 @_criterion("bos_fair_selection", budget=1.0)
 def _check_bos_fair_selection() -> str:
-    game = _bos()
+    game = bundled_game("bos")
     dist = solve_ce(game, CeObjective.MAX_FAIR)
     expected = _bos_fair_ce()
     assert dist.probs == expected.probs, f"solver returned {dist.items_sorted()}"
@@ -249,7 +237,7 @@ def _check_bos_fair_selection() -> str:
 
 @_criterion("matching_game_unique_fair_point", budget=1.0)
 def _check_matching_game() -> str:
-    game = _coinflip()
+    game = bundled_game("coinflip")
     total = total_payoff_vector(game)
     order = cell_order(game)
 
@@ -285,7 +273,7 @@ def _check_matching_game() -> str:
 
 @_criterion("single_flip_cheating_gain", budget=1.0)
 def _check_single_flip_gain() -> str:
-    game = _bos()
+    game = bundled_game("bos")
     em = emulate(game, _bos_fair_ce(), F(1, 2))
     assert em.k == 3
     for bias in (ZERO, F(1, 100), F(1, 60), F(1, 10)):
@@ -355,7 +343,7 @@ MC_SEED = 20_108
 
 @_criterion("monte_carlo_consistency", budget=30.0)
 def _check_monte_carlo() -> str:
-    game = _bos()
+    game = bundled_game("bos")
     p = _bos_fair_ce()
     em = emulate(game, p, F(1, 2))
     config = ProtocolConfig(F(1, 10), F(1, 2), em.k)

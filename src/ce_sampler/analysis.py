@@ -53,10 +53,14 @@ the root is 1, the children of h are 2h and 2h + 1, the node of prefix
 ``2**k + i`` is table entry i.  Steering weights are held as a heap-index
 map in which a missing node has w = 0, and a player's preferences are the
 oracle's set of mixed nodes where that player prefers 1.  Prefixes are
-built only at the public boundary: a policy is a lazy read-only mapping
-from every internal node's prefix, level by level, to its weight, which
-reads the heap-index map on demand, and a leaf distribution holds the
-positive leaves only.  Nothing of size 2**k is built.
+built only at the public boundary: a policy is
+:class:`ce_sampler.protocol._Policy`, a lazy read-only mapping from every
+internal node's prefix, level by level, to its weight, which reads the
+heap-index map on demand (and which a ``PolicyParty`` plays in place),
+and a leaf distribution holds the positive leaves only.  A supplied
+policy becomes heap-index weights through
+:func:`ce_sampler.protocol.policy_weights`.  Nothing of size 2**k is
+built.
 
 The tree is run-length.  A node is *mixed* when a run of equal table
 entries starts strictly inside its block (see
@@ -96,17 +100,16 @@ concrete instances of them.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from math import lcm
 from typing import Literal
 
 from .emulation import BitPrefix, MultisetEmulation, PreferenceOracle, bits_to_index, index_to_bits
 from .games import ZERO, Game, as_fraction, expected_utility, normalize
-from .protocol import ProtocolConfig, _is_internal_node, check_policy, round_bias
+from .protocol import ProtocolConfig, _Policy, policy_weights, round_bias
 
 HALF = Fraction(1, 2)
 
@@ -165,54 +168,6 @@ def _leaf_masses(honest_ones: frozenset[int], weights: Weights, k: int) -> _Leav
         nodes, denominator = children, denominator * scale
     size = 1 << k
     return _Leaves(k, [(h - size, mass) for h, mass in nodes], denominator)
-
-
-class _Policy(Mapping):
-    """The public policy: every internal node's weight keyed by its prefix, level by level.
-
-    A read-only view of heap-index weights, so it holds nothing of size
-    2**k: a lookup maps the prefix to its heap index, and ``items`` and
-    ``values`` walk heap indices, which run in key order.  Equality is a
-    mapping's, so it equals the dict of its items.
-    """
-
-    def __init__(self, weights: Weights, k: int):
-        self._weights = weights
-        self._k = k
-
-    def __len__(self) -> int:
-        return (1 << self._k) - 1
-
-    def __iter__(self):
-        return (prefix for m in range(self._k) for prefix in product((0, 1), repeat=m))
-
-    def __getitem__(self, prefix: BitPrefix) -> Fraction:
-        if not (isinstance(prefix, tuple) and _is_internal_node(prefix, self._k)):
-            raise KeyError(prefix)
-        return self._weights.get((1 << len(prefix)) | bits_to_index(prefix), ZERO)
-
-    def _values(self):
-        get = self._weights.get
-        return (get(h, ZERO) for h in range(1, 1 << self._k))
-
-    def items(self) -> ItemsView:
-        return _PolicyItems(self)
-
-    def values(self) -> ValuesView:
-        return _PolicyValues(self)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self.items())!r})"
-
-
-class _PolicyItems(ItemsView):
-    def __iter__(self):
-        return zip(self._mapping, self._mapping._values())
-
-
-class _PolicyValues(ValuesView):
-    def __iter__(self):
-        return self._mapping._values()
 
 
 def _l1_per_round(q: _Leaves, p: _Leaves) -> tuple[Fraction, ...]:
@@ -397,23 +352,6 @@ class _Tree:
         )
         return outcome, leaves
 
-    def scripted(
-        self, policy: Mapping[BitPrefix, Fraction], dishonest: int, objective: str
-    ) -> tuple[AdversaryOutcome, _Leaves]:
-        honest = _check_players(dishonest)
-        policy = {tuple(prefix): as_fraction(w) for prefix, w in policy.items()}
-        check_policy(policy, self.k)
-        weights = dict(self.honest_weights)
-        for prefix, w in policy.items():
-            weights[(1 << len(prefix)) | bits_to_index(prefix)] = w
-        leaves = self.leaves(weights, dishonest)
-        max_own = objective == "max-own"
-        value = self.expectation(leaves, dishonest if max_own else honest, floor_zero=max_own)
-        outcome = AdversaryOutcome(
-            value, _Policy(weights, self.k), leaves.distribution(), dishonest, ZERO, "scripted"
-        )
-        return outcome, leaves
-
 
 def honest_output_distribution(em: MultisetEmulation, game: Game) -> LeafDistribution:
     """Exact index distribution when both parties are honest.
@@ -422,15 +360,6 @@ def honest_output_distribution(em: MultisetEmulation, game: Game) -> LeafDistrib
     deterministic bit; the rest split half and half.
     """
     return _Tree(em, game).honest_leaves.distribution()
-
-
-def honest_policy(em: MultisetEmulation, game: Game) -> AdversaryPolicy:
-    """Honest behavior in steering coordinates: w = 0 at agreements, 1/2 at coins.
-
-    Feeding this policy to :func:`policy_outcome` reproduces the honest
-    distribution exactly.
-    """
-    return _Policy(_Tree(em, game).honest_weights, em.k)
 
 
 def worst_case_adversary(
@@ -470,12 +399,26 @@ def policy_outcome(
 ) -> AdversaryOutcome:
     """Exact value and leaf distribution of an arbitrary steering policy.
 
-    Prefixes missing from ``policy`` fall back to honest behavior.  The
-    optimum returned by :func:`worst_case_adversary` for a class
+    A prefix that ``policy`` holds overrides honest play, and the rest
+    fall back to it.  A plain mapping holds its keys.  A policy returned
+    by this module, over k rounds, holds every node at depth below k, also
+    where its sparse weights have no key, so the honest coins of ``em``
+    are kept only from depth k down, at heap index ``2**k`` and beyond.
+    The optimum returned by :func:`worst_case_adversary` for a class
     dominates every policy inside that class evaluated here.
     """
-    outcome, _ = _Tree(em, game).scripted(policy, dishonest, objective)
-    return outcome
+    honest = _check_players(dishonest)
+    tree = _Tree(em, game)
+    steer = policy_weights(policy, tree.k)
+    first_kept = 1 << policy.k if isinstance(policy, _Policy) else 1
+    weights = {h: w for h, w in tree.honest_weights.items() if h >= first_kept}
+    weights.update(steer)
+    leaves = tree.leaves(weights, dishonest)
+    max_own = objective == "max-own"
+    value = tree.expectation(leaves, dishonest if max_own else honest, floor_zero=max_own)
+    return AdversaryOutcome(
+        value, _Policy(weights, tree.k), leaves.distribution(), dishonest, ZERO, "scripted"
+    )
 
 
 def leaf_expectation(
@@ -516,7 +459,6 @@ def verify_distance_bounds(
     game: Game,
     epsilon: Fraction,
     dishonest: int,
-    policy: Mapping[BitPrefix, Fraction] | None = None,
     power: AdversaryPower = "bias-only",
 ) -> AnalysisReport:
     """Check the per-round and cumulative L1 bounds on the adversary's skew.
@@ -524,18 +466,15 @@ def verify_distance_bounds(
     With per-round bias epsilon/(2k), a shaded coin moves the marginal
     distribution by at most 2 * bias = epsilon/k in L1, so after m rounds
     the distance is at most m * epsilon / k and at most epsilon overall.
-    The check runs against the exact worst case of ``power`` (or a
-    supplied policy).  Failed verdicts are reported, not raised; for
-    powers beyond bias-only they do occur.
+    The check runs against the exact worst case of ``power``; a supplied
+    policy is evaluated by :func:`policy_outcome`.  Failed verdicts are
+    reported, not raised; for powers beyond bias-only they do occur.
     """
     epsilon = as_fraction(epsilon)
     k = em.k
     bias = round_bias(epsilon, k)
     tree = _Tree(em, normalize(game))
-    if policy is None:
-        adv, q = tree.worst_case(bias, dishonest, power, "max-own")
-    else:
-        adv, q = tree.scripted(policy, dishonest, "max-own")
+    adv, q = tree.worst_case(bias, dishonest, power, "max-own")
     p_h = tree.honest_leaves
 
     l1_per_round = _l1_per_round(q, p_h)

@@ -35,7 +35,14 @@ from .games import (
     expected_utility,
     normalize,
 )
-from .protocol import HonestParty, PartyBehavior, PolicyParty, ProtocolConfig, run_protocol
+from .protocol import (
+    HonestParty,
+    PartyBehavior,
+    PolicyParty,
+    ProtocolConfig,
+    TwoCheatersError,
+    run_protocol,
+)
 from .rng import RandomStream
 from .serialization import (
     GameFormatError,
@@ -169,11 +176,14 @@ def _run_trials(game, p, em, config, args, mode: str) -> tuple[dict, list[str] |
         for start, count in _chunk_bounds(trials, args.jobs)
     ]
     workers = _worker_count(args.jobs, len(chunks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_trial_chunk, chunks))
-    else:
-        results = [_trial_chunk(chunk) for chunk in chunks]
+    try:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_trial_chunk, chunks))
+        else:
+            results = [_trial_chunk(chunk) for chunk in chunks]
+    except TwoCheatersError as exc:
+        raise ValueError(f"--party1 {args.party1} and --party2 {args.party2}: {exc}") from None
 
     outcomes: Counter = Counter()
     rows = [] if want_rows else None

@@ -45,6 +45,11 @@ def index_to_bits(index: int, k: int) -> BitPrefix:
     return tuple((index >> (k - 1 - j)) & 1 for j in range(k))
 
 
+def heap_index(prefix: BitPrefix) -> int:
+    """The round-tree node of ``prefix``: the root is 1, the children of h are 2h and 2h + 1."""
+    return (1 << len(prefix)) | bits_to_index(prefix)
+
+
 def rounds_for(n_cells: int, delta: Fraction) -> int:
     """Smallest k with 2^k >= n_cells / delta."""
     if delta <= 0:
@@ -260,7 +265,7 @@ class PreferenceOracle:
         m = len(prefix)
         if m > self.k:
             raise ValueError("prefix longer than the index width")
-        h, height = (1 << m) | bits_to_index(prefix), self.k - m
+        h, height = heap_index(prefix), self.k - m
         sums = self._fold(player)[0]
         return self._node_sum(self.numerators(player), sums, h, height), 1 << height
 
@@ -282,10 +287,9 @@ class PreferenceOracle:
 
     def preference(self, player: int, prefix: BitPrefix) -> int:
         """+1 when extending the prefix with 0 is weakly better, else -1."""
-        m = len(prefix)
-        if m >= self.k:
+        if len(prefix) >= self.k:
             raise ValueError("prefix must leave at least one undecided bit")
-        return -1 if (1 << m) | bits_to_index(prefix) in self.prefers_one(player) else 1
+        return -1 if heap_index(prefix) in self.prefers_one(player) else 1
 
 
 # ---------------------------------------------------------------------------

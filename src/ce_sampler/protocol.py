@@ -21,6 +21,15 @@ any of these places; the channel itself is synchronous and lossless.
 Parties keep no per-trial state: every answer is a function of the
 node or of the transcript it is given.
 
+Parties are asked by node: the heap index of the round tree, where the
+root is 1 and the children of node h are 2h and 2h + 1, so the node of
+prefix ``bits`` is ``2**len(bits) + bits_to_index(bits)``.  Prefixes
+appear only at the public edges: policy and script mappings,
+``Transcript.ell`` and the keys of ``simulate_outputs``.  A steering
+policy becomes heap-index weights in one place, :func:`policy_weights`;
+the analysis's own policies (:class:`_Policy`) already hold such weights
+and are played in place.
+
 Every announcement and coin request is a function of the game, the
 emulation table and the node of the 2^k round tree, so a run binds its
 game, distribution, emulation, config and two parties once and decides
@@ -36,9 +45,10 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from itertools import product
 
 from .coin_flip import CheaterRequest, WcfSpec, flip_law
 from .emulation import (
@@ -46,6 +56,7 @@ from .emulation import (
     MultisetEmulation,
     PreferenceOracle,
     emulate,
+    heap_index,
     index_to_bits,
     rounds_for,
 )
@@ -68,19 +79,82 @@ def _is_internal_node(prefix: BitPrefix, k: int) -> bool:
     return len(prefix) < k and all(b in (0, 1) for b in prefix)
 
 
-def check_policy(policy: Mapping[BitPrefix, Fraction], k: int) -> None:
-    """Raise ``ValueError`` unless ``policy`` steers only internal nodes of the k-round tree.
+def policy_weights(policy: Mapping[BitPrefix, Fraction], k: int) -> dict[int, Fraction]:
+    """``policy`` as steering weights keyed by heap index, checked against the k-round tree.
 
     Each prefix must be 0s and 1s shorter than k, and each steering
-    probability w must lie in [0, 1].  The message names the prefix.
+    probability w, coerced with ``as_fraction``, must lie in [0, 1]; the
+    ``ValueError`` names the first bad prefix in the mapping's order.  An
+    analysis :class:`_Policy` over at most k rounds was checked where it
+    was made, so its own weights are returned as they are, with no walk;
+    the caller must not change them.
     """
+    if isinstance(policy, _Policy) and policy.k <= k:
+        return policy.weights
+    weights = {}
     for prefix, w in policy.items():
+        prefix, w = tuple(prefix), as_fraction(w)
         if not _is_internal_node(prefix, k):
             raise ValueError(
                 f"policy prefix {prefix} is not an internal node of the {k}-round tree"
             )
         if not 0 <= w <= 1:
             raise ValueError(f"policy prefix {prefix}: steering probability {w} is not in [0, 1]")
+        weights[heap_index(prefix)] = w
+    return weights
+
+
+class _Policy(Mapping):
+    """The analysis's policy: every internal node's weight keyed by its prefix, level by level.
+
+    A read-only view of heap-index ``weights`` (a missing node has w = 0)
+    over a ``k``-round tree, so it holds nothing of size 2**k: a lookup
+    maps the prefix to its heap index, and ``items`` and ``values`` walk
+    heap indices, which run in key order.  Equality is a mapping's, so it
+    equals the dict of its items.
+    """
+
+    def __init__(self, weights: dict[int, Fraction], k: int):
+        self.weights = weights
+        self.k = k
+
+    def __len__(self) -> int:
+        return (1 << self.k) - 1
+
+    def __iter__(self):
+        return (prefix for m in range(self.k) for prefix in product((0, 1), repeat=m))
+
+    def __getitem__(self, prefix: BitPrefix) -> Fraction:
+        if not (isinstance(prefix, tuple) and _is_internal_node(prefix, self.k)):
+            raise KeyError(prefix)
+        return self.weights.get(heap_index(prefix), ZERO)
+
+    def _values(self):
+        get = self.weights.get
+        return (get(h, ZERO) for h in range(1, 1 << self.k))
+
+    def items(self) -> ItemsView:
+        return _PolicyItems(self)
+
+    def values(self) -> ValuesView:
+        return _PolicyValues(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _PolicyItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._values())
+
+
+class _PolicyValues(ValuesView):
+    def __iter__(self):
+        return self._mapping._values()
+
+
+class TwoCheatersError(RuntimeError):
+    """Both parties requested a biased coin at one node of a run."""
 
 
 @dataclass(frozen=True)
@@ -150,16 +224,20 @@ class PartyBehavior:
     """Honest behavior; subclasses override pieces to model deviations.
 
     ``start`` binds the behavior to one run: its seat and the run's
-    preference oracle.  ``announce`` returns a preference sign;
-    ``coin_request`` returns None to flip honestly or a desired win
-    probability to cheat; ``game_move`` picks the strategy actually
-    played; ``check_move`` is the stage-3 verdict, read from the finished
-    stage-1 transcript and the opponent's move (and, for player 2, player
-    1's verdict): reject if any opponent announcement differs from the
-    opponent's true preference or the opponent left their suggestion.
+    preference oracle.  ``announce(h)`` returns a preference sign at node
+    h of the round tree, named by its heap index: the root is 1, and the
+    children of h are 2h and 2h + 1, so h lies at depth
+    ``h.bit_length() - 1`` and the node of prefix ``bits`` is
+    ``2**len(bits) + bits_to_index(bits)``.  ``coin_request(h)`` returns
+    None to flip honestly or a desired win probability to cheat;
+    ``game_move`` picks the strategy actually played; ``check_move`` is
+    the stage-3 verdict, read from the finished stage-1 transcript and the
+    opponent's move (and, for player 2, player 1's verdict): reject if any
+    opponent announcement differs from the opponent's true preference or
+    the opponent left their suggestion.
 
     A behavior keeps no per-trial state.  Between two ``start`` calls,
-    ``announce`` and ``coin_request`` must be functions of the prefix: the
+    ``announce`` and ``coin_request`` must be functions of the node: the
     run asks each node once and reuses the answer in every later trial,
     and the exact analysis models behaviors the same way.  Every
     behavior here meets this.  A behavior whose answers should change
@@ -179,10 +257,10 @@ class PartyBehavior:
         self.player = player
         self.oracle = oracle
 
-    def announce(self, prefix: BitPrefix) -> PreferenceSign:
-        return self.oracle.preference(self.player, prefix)
+    def announce(self, h: int) -> PreferenceSign:
+        return -1 if h in self.oracle.prefers_one(self.player) else 1
 
-    def coin_request(self, prefix: BitPrefix) -> Fraction | None:
+    def coin_request(self, h: int) -> Fraction | None:
         return None
 
     def game_move(self, suggestion: JointStrategy) -> int:
@@ -212,32 +290,38 @@ class PolicyParty(PartyBehavior):
     """Plays a per-prefix coin policy against an honest opponent.
 
     ``policy`` maps each prefix to the probability w of steering the next
-    bit away from the honest side's preferred value.  w == 0 is realized
-    by announcing the own true preference: where both true preferences
-    agree that fixes the honest bit with no coin, and where they differ it
-    starts a coin flip that the policy loses on purpose (request 0).
-    w > 0 is realized by announcing the opposite of the honest side's
-    preference and requesting w from the coin functionality; where both
-    true preferences agree, that announcement is a lie.
+    bit away from the honest side's preferred value; a missing prefix has
+    w = 0.  w == 0 is realized by announcing the own true preference:
+    where both true preferences agree that fixes the honest bit with no
+    coin, and where they differ it starts a coin flip that the policy
+    loses on purpose (request 0).  w > 0 is realized by announcing the
+    opposite of the honest side's preference and requesting w from the
+    coin functionality; where both true preferences agree, that
+    announcement is a lie.
+
+    A plain mapping is copied here, its weights coerced with
+    ``as_fraction``, and checked against the run's round count by
+    :func:`policy_weights` when the run starts.  An analysis policy is
+    kept by reference and, over at most the run's round count, played in
+    place: its heap-index weights are read with no walk over its prefixes.
     """
 
     def __init__(self, policy: Mapping[BitPrefix, Fraction]):
-        self.policy = {tuple(k): as_fraction(v) for k, v in policy.items()}
+        if not isinstance(policy, _Policy):
+            policy = {tuple(prefix): as_fraction(w) for prefix, w in policy.items()}
+        self.policy = policy
 
     def start(self, game, em, config, player, oracle) -> None:
-        check_policy(self.policy, config.k)
+        self.weights = policy_weights(self.policy, config.k)
         super().start(game, em, config, player, oracle)
 
-    def _w(self, prefix: BitPrefix) -> Fraction:
-        return self.policy.get(tuple(prefix), ZERO)
+    def announce(self, h: int) -> PreferenceSign:
+        if self.weights.get(h, ZERO) == 0:
+            return super().announce(h)
+        return 1 if h in self.oracle.prefers_one(3 - self.player) else -1
 
-    def announce(self, prefix: BitPrefix) -> PreferenceSign:
-        if self._w(prefix) == 0:
-            return self.oracle.preference(self.player, prefix)
-        return -self.oracle.preference(3 - self.player, prefix)
-
-    def coin_request(self, prefix: BitPrefix) -> Fraction | None:
-        return self._w(prefix)
+    def coin_request(self, h: int) -> Fraction | None:
+        return self.weights.get(h, ZERO)
 
 
 def _show_prefix(prefix) -> str:
@@ -257,8 +341,9 @@ class ScriptedParty(PartyBehavior):
     probability in [0, 1]; ``move``: strategy index to play instead of the
     suggestion; ``check``: a fixed "A" or "R".  Bad values raise
     ``ValueError`` here; a move or prefix that does not fit the run's seat
-    and round count raises it in :meth:`check_seat`, which ``start`` calls.
-    Messages name the script field (as in a party script file).
+    and round count raises it in :meth:`check_seat`, which ``start`` calls
+    before it keys both maps by heap index.  Messages name the script
+    field (as in a party script file).
     """
 
     def __init__(
@@ -311,14 +396,16 @@ class ScriptedParty(PartyBehavior):
 
     def start(self, game, em, config, player, oracle) -> None:
         self.check_seat(game, player, config.k)
+        self.node_announce = {heap_index(p): sign for p, sign in self.script_announce.items()}
+        self.node_win = {heap_index(p): w for p, w in self.script_win.items()}
         super().start(game, em, config, player, oracle)
 
-    def announce(self, prefix: BitPrefix) -> PreferenceSign:
-        override = self.script_announce.get(tuple(prefix))
-        return override if override is not None else super().announce(prefix)
+    def announce(self, h: int) -> PreferenceSign:
+        override = self.node_announce.get(h)
+        return override if override is not None else super().announce(h)
 
-    def coin_request(self, prefix: BitPrefix) -> Fraction | None:
-        return self.script_win.get(tuple(prefix))
+    def coin_request(self, h: int) -> Fraction | None:
+        return self.node_win.get(h)
 
     def game_move(self, suggestion: JointStrategy) -> int:
         return self.script_move if self.script_move is not None else super().game_move(suggestion)
@@ -345,7 +432,7 @@ class _Run:
     walks k entries and draws only at coin nodes, exactly as many draws as
     the rounds would take one by one.  This relies on the
     ``PartyBehavior`` rule that ``announce`` and ``coin_request`` are
-    functions of the prefix.
+    functions of the node.
     """
 
     __slots__ = ("key", "game", "p", "em", "k", "party1", "party2", "specs", "nodes", "ce")
@@ -383,22 +470,21 @@ class _Run:
             self.ce = check_ce(self.game, self.p)
         return self.ce
 
-    def decide(self, h: int, depth: int) -> tuple:
-        """The entry for node ``h`` at ``depth``: announcements, then any coin request."""
-        prefix = index_to_bits(h - (1 << depth), depth)
-        index = depth + 1
-        sign1 = self.party1.announce(prefix)
-        sign2 = self.party2.announce(prefix)
+    def decide(self, h: int) -> tuple:
+        """The entry for node ``h``: announcements, then any coin request."""
+        index = h.bit_length()  # the round number: the root's round is 1
+        sign1 = self.party1.announce(h)
+        sign2 = self.party2.announce(h)
         if sign1 == sign2:
             bit = 0 if sign1 == 1 else 1
             record = RoundRecord(index, sign1, sign2, "agreed", bit)
             entry = (None, bit, (record, record))
         else:
             spec = self.specs[0 if sign1 == 1 else 1]
-            req1 = self.party1.coin_request(prefix)
-            req2 = self.party2.coin_request(prefix)
+            req1 = self.party1.coin_request(h)
+            req2 = self.party2.coin_request(h)
             if req1 is not None and req2 is not None:
-                raise RuntimeError(
+                raise TwoCheatersError(
                     "both parties requested a biased coin; the functionality only "
                     "bounds one cheater against an honest party"
                 )
@@ -423,10 +509,10 @@ class _Run:
         """
         nodes = self.nodes
         h = 1
-        for depth in range(self.k):
+        for _ in range(self.k):
             entry = nodes.get(h)
             if entry is None:
-                entry = self.decide(h, depth)
+                entry = self.decide(h)
             win, bit, settled = entry
             if win is not None:
                 bit = bit if randomness.bernoulli(win) else 1 - bit

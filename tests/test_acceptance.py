@@ -50,5 +50,5 @@ def test_battery_is_pinned():
 @pytest.mark.parametrize("name", criterion_names())
 def test_criterion(name):
     result = run_criterion(name)
-    print(result.line())
+    print(result)
     assert result.passed, result.detail

@@ -24,6 +24,7 @@ from ce_sampler import (
     RandomStream,
     emulate,
     normalize,
+    run_protocol,
     simulate_outputs,
 )
 from ce_sampler import analysis
@@ -31,7 +32,6 @@ from ce_sampler.acceptance import battery
 from ce_sampler.analysis import (
     POWERS,
     honest_output_distribution,
-    honest_policy,
     leaf_expectation,
     policy_outcome,
     truthful_announcements_optimal,
@@ -39,7 +39,13 @@ from ce_sampler.analysis import (
     verify_payoff_guarantees,
     worst_case_adversary,
 )
-from ce_sampler.emulation import PreferenceOracle, bits_to_index, index_to_bits, l1_distance
+from ce_sampler.emulation import (
+    PreferenceOracle,
+    bits_to_index,
+    index_to_bits,
+    l1_distance,
+    marginal,
+)
 from ce_sampler.serialization import emulation_to_json
 from conftest import random_distribution, random_rational_game
 
@@ -153,7 +159,7 @@ class TestWorstCaseAdversary:
             p = random_distribution(rng, list(game.cells()))
             em = emulate(game, p, F(1, 2))
             bias = F(1, 40)
-            honest = honest_policy(em, game)
+            honest = worst_case_adversary(em, game, F(0), 1).policy
             best_bias_only = worst_case_adversary(em, game, bias, 1, power="bias-only")
             best_anything = worst_case_adversary(em, game, bias, 1, power="unrestricted")
             for _ in range(10):
@@ -170,7 +176,7 @@ class TestWorstCaseAdversary:
 
     def test_honest_policy_reproduces_honest_run(self, bos, bos_fair_ce):
         em = emulate(bos, bos_fair_ce, F(1, 2))
-        outcome = policy_outcome(em, bos, honest_policy(em, bos), 1)
+        outcome = policy_outcome(em, bos, worst_case_adversary(em, bos, F(0), 1).policy, 1)
         p_h = honest_output_distribution(em, bos)
         assert outcome.leaf_distribution == p_h
         assert outcome.value == leaf_expectation(em, bos, p_h, 1)
@@ -291,8 +297,6 @@ class TestDistanceBounds:
             PolicyParty({(): 0.1})
         with pytest.raises(TypeError):
             policy_outcome(em, bos, {(): 0.1}, 1)
-        with pytest.raises(TypeError):
-            verify_distance_bounds(em, bos, F(1, 10), 1, policy={(): 0.1})
         exact = policy_outcome(em, bos, {(): "1/10"}, 1)
         assert exact.policy[()] == F(1, 10)
 
@@ -336,11 +340,13 @@ class TestDistanceBounds:
 
     def test_supplied_policy_is_analyzed(self, bos, bos_fair_ce):
         em = emulate(bos, bos_fair_ce, F(1, 2))
-        report = verify_distance_bounds(
-            em, bos, F(1, 10), 1, policy=honest_policy(em, bos)
-        )
-        assert report.l1_per_round == (F(0),) * 4
-        assert report.all_hold
+        epsilon = F(1, 10)
+        honest = worst_case_adversary(em, bos, F(0), 1).policy
+        q = policy_outcome(em, bos, honest, 1).leaf_distribution
+        p_h = honest_output_distribution(em, bos)
+        l1_per_round = tuple(l1_distance(marginal(q, m), marginal(p_h, m)) for m in range(em.k + 1))
+        assert l1_per_round == (F(0),) * 4
+        assert all(d <= m * epsilon / em.k for m, d in enumerate(l1_per_round))
 
     def test_bounds_hold_on_random_instances(self):
         rng = random.Random(23)
@@ -828,8 +834,8 @@ class TestRunLengthEngine:
     def test_worst_cases_match(self, game, em, dense):
         fast, slow = dense(honest_output_distribution, em, game)
         assert fast == slow
-        fast, slow = dense(honest_policy, em, game)
-        assert list(fast.items()) == list(slow.items())
+        fast, slow = dense(policy_outcome, em, game, {}, 1)  # the honest policy
+        assert list(fast.policy.items()) == list(slow.policy.items())
         for power, objective, cheater in itertools.product(
             POWERS, ("max-own", "min-opponent"), (1, 2)
         ):
@@ -841,7 +847,7 @@ class TestRunLengthEngine:
     @pytest.mark.parametrize("game, em", layouts())
     def test_policies_are_complete_prefix_dicts_in_level_order(self, game, em):
         prefixes = prefixes_of(em.k)
-        assert list(honest_policy(em, game)) == prefixes
+        assert list(worst_case_adversary(em, game, F(0), 1).policy) == prefixes
         for power, objective, cheater in itertools.product(
             POWERS, ("max-own", "min-opponent"), (1, 2)
         ):
@@ -858,7 +864,11 @@ class TestRunLengthEngine:
             }
 
         tree = analysis._Tree(em, game)
-        cases = [(honest_policy(em, game), reference(tree.honest_weights), None)]
+        honest = policy_outcome(em, game, {}, 1).policy
+        for cheater in (1, 2):  # honest play is the bias-0 optimum
+            zero_bias = worst_case_adversary(em, game, F(0), cheater).policy
+            assert zero_bias == honest and repr(zero_bias) == repr(honest)
+        cases = [(honest, reference(tree.honest_weights), None)]
         for power, objective, cheater in itertools.product(
             POWERS, ("max-own", "min-opponent"), (1, 2)
         ):
@@ -881,7 +891,7 @@ class TestRunLengthEngine:
             assert type(copy) is type(policy) and copy == dense_policy
             assert list(copy.items()) == list(dense_policy.items())
             if worst is None:
-                assert repr(policy) == repr(honest_policy(em, game))
+                assert repr(policy) == repr(policy_outcome(em, game, {}, 1).policy)
                 continue
             adv, objective = worst
             again = worst_case_adversary(em, game, adv.bias, adv.dishonest, adv.power, objective)
@@ -919,7 +929,61 @@ class TestRunLengthEngine:
             fast, slow = dense(verify_payoff_guarantees, em, game, config, power)
             assert fast == slow, power
         scripted = {prefix: F(1, 3) for prefix in prefixes_of(em.k)}
-        fast, slow = dense(verify_distance_bounds, em, game, epsilon, 2, policy=scripted)
+        fast, slow = dense(policy_outcome, em, game, scripted, 2)
         assert fast == slow
         fast, slow = dense(truthful_announcements_optimal, em, game, epsilon)
         assert fast == slow
+
+
+class TestPoliciesPlayedInPlace:
+    """An analysis policy plays and replays exactly as the dense dict of its items."""
+
+    @staticmethod
+    def play(game, em, policy, cheater):
+        """simulate_outputs counts and run_protocol transcripts of ``policy`` in seat ``cheater``."""
+        config = ProtocolConfig(F(1, 10), em.delta, em.k)
+        party = PolicyParty(policy)
+        parties = (party, HonestParty()) if cheater == 1 else (HonestParty(), party)
+        counts = simulate_outputs(game, em.source, config, *parties, RandomStream(5), 100, em=em)
+        transcripts = [
+            run_protocol(
+                game, em.source, config, *parties, RandomStream(6).child(t), em=em,
+                warn_not_ce=False,
+            )
+            for t in range(4)
+        ]
+        return counts, transcripts
+
+    @pytest.mark.parametrize("game, em", layouts())
+    def test_party_plays_the_policy_as_its_dense_dict(self, game, em):
+        k = em.k
+        smaller = [hand_built(m, em.table[:: 1 << (k - m)]) for m in range(k)]
+        larger = hand_built(k + 1, [cell for cell in em.table for _ in (0, 1)])
+        for power, cheater in itertools.product(POWERS, (1, 2)):
+            for source in [em, *smaller]:
+                policy = worst_case_adversary(source, game, F(1, 40), cheater, power).policy
+                lazy = self.play(game, em, policy, cheater)
+                assert lazy == self.play(game, em, dict(policy), cheater), (power, cheater, source.k)
+            policy = worst_case_adversary(larger, game, F(1, 40), cheater, power).policy
+            messages = []
+            for form in (policy, dict(policy)):
+                with pytest.raises(ValueError, match=re.escape(f"prefix {(0,) * k} ")) as error:
+                    self.play(game, em, form, cheater)
+                messages.append(str(error.value))
+            assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("game, em", layouts())
+    def test_foreign_policy_replays_as_its_dense_dict(self, game, em):
+        k = em.k
+        other_game = signed_game(random.Random(79), game.rows, game.cols)
+        other_em = hand_built(k, em.table[::-1])
+        smaller = [hand_built(m, em.table[:: 1 << (k - m)]) for m in range(k)]
+        for power, cheater in itertools.product(POWERS, (1, 2)):
+            policies = [
+                worst_case_adversary(source, g, F(1, 40), cheater, power).policy
+                for g, source in [(game, em), (other_game, em), (game, other_em)]
+                + [(game, small) for small in smaller]
+            ]
+            for policy, objective in itertools.product(policies, ("max-own", "min-opponent")):
+                replay = policy_outcome(em, game, policy, cheater, objective)
+                assert replay == policy_outcome(em, game, dict(policy), cheater, objective)

@@ -242,7 +242,23 @@ def test_too_large_epsilon_names_the_flag(command, capsys):
         assert "bias must satisfy" not in captured.err
 
 
-@pytest.mark.parametrize("value, code", [("2", 0), ("0", 2), ("-3", 2), ("two", 2)])
+@pytest.mark.parametrize("command", ["run", "play"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_two_cheaters_name_both_party_flags(command, jobs, tmp_path, capsys):
+    # Two greedy parties both request a biased coin at bos's first coin node.
+    report = tmp_path / "r.json"
+    assert run_cli(
+        command, "--game", BOS, "--objective", "max-fair", "--trials", "4", "--seed", "1",
+        "--jobs", jobs, "--party1", "greedy", "--party2", "greedy", "--report", str(report),
+    ) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "--party1 greedy" in captured.err and "--party2 greedy" in captured.err
+    assert "both parties requested a biased coin" in captured.err
+    assert captured.out == "" and not report.exists()
+
+
+@pytest.mark.parametrize("value, code",[("2", 0), ("0", 2), ("-3", 2), ("two", 2)])
 def test_jobs_default_from_environment_is_checked(value, code, monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("CE_SAMPLER_JOBS", value)
     argv = ["run", "--game", BOS, "--objective", "max-fair", "--trials", "4", "--seed", "1",

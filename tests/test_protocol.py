@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +20,7 @@ from ce_sampler import (
     ScriptedParty,
     check_ce,
     emulate,
+    normalize,
     play_extended_game,
     run_protocol,
     simulate_outputs,
@@ -278,6 +280,28 @@ class TestBehaviors:
         (prefix,) = policy
         with pytest.raises(ValueError, match=re.escape(str(prefix))):
             run_protocol(bos, bos_fair_ce, config, cheater, HonestParty(), RandomStream(0), em=em)
+
+    def test_greedy_party_builds_nothing_of_size_2_to_the_k(self, bos):
+        # bos's mixed equilibrium is not dyadic, so its table has mixed nodes at every depth.
+        cells = (JointStrategy(0, 0), JointStrategy(0, 1), JointStrategy(1, 0), JointStrategy(1, 1))
+        mixed = JointDistribution(dict(zip(cells, (F(2, 9), F(4, 9), F(1, 9), F(2, 9)))))
+        delta = F(bos.n_cells, 1 << 18)
+        em = emulate(bos, mixed, delta)
+        assert em.k == 18
+        em.mixed_nodes  # built before tracing: the run scan belongs to the emulation
+        config = ProtocolConfig(F(1, 10), delta, em.k)
+        adv = worst_case_adversary(em, normalize(bos), config.per_round_bias, 1, power="truthful")
+        tracemalloc.start()
+        try:
+            party = PolicyParty(adv.policy)
+            counts = simulate_outputs(
+                bos, mixed, config, party, HonestParty(), RandomStream(3), 100, em=em
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(counts.values()) == 100 and set(counts) <= set(adv.leaf_distribution)
+        assert peak < 1 << 20, peak
 
     def test_policy_party_requests_logged(self, bos, bos_fair_ce):
         em = emulate(bos, bos_fair_ce, F(1, 2))

@@ -72,7 +72,6 @@ def test_exported_names_are_pinned():
         "expected_utility",
         "flip_law",
         "honest_output_distribution",
-        "honest_policy",
         "l1_distance",
         "marginal",
         "normalize",
