@@ -38,7 +38,6 @@ from .emulation import (
     PreferenceOracle,
     emulate,
     l1_distance,
-    marginal,
     rounds_for,
 )
 from .coin_flip import (
@@ -118,7 +117,6 @@ __all__ = [
     "flip_law",
     "honest_output_distribution",
     "l1_distance",
-    "marginal",
     "normalize",
     "play_extended_game",
     "policy_outcome",

@@ -107,7 +107,7 @@ from functools import cached_property
 from math import lcm
 from typing import Literal
 
-from .emulation import BitPrefix, MultisetEmulation, PreferenceOracle, bits_to_index, index_to_bits
+from .emulation import BitPrefix, MultisetEmulation, PreferenceOracle, index_to_bits
 from .games import ZERO, Game, as_fraction, expected_utility, normalize
 from .protocol import ProtocolConfig, _Policy, policy_weights, round_bias
 
@@ -418,17 +418,6 @@ def policy_outcome(
     value = tree.expectation(leaves, dishonest if max_own else honest, floor_zero=max_own)
     return AdversaryOutcome(
         value, _Policy(weights, tree.k), leaves.distribution(), dishonest, ZERO, "scripted"
-    )
-
-
-def leaf_expectation(
-    em: MultisetEmulation, game: Game, dist: Mapping[BitPrefix, Fraction], player: int
-) -> Fraction:
-    """E[u_player] when the output profile is read off the table at ``dist``."""
-    return sum(
-        (mass * game.utility(player, em.table[bits_to_index(bits)])
-         for bits, mass in dist.items()),
-        ZERO,
     )
 
 

@@ -8,10 +8,9 @@ out contiguously in canonical row-major profile order (configurable via
 an explicit permutation), and the prefix structure of the index
 therefore partitions the table into aligned blocks.  The table's shape,
 its runs of equal entries and the round-tree nodes whose block a run
-boundary crosses, is found once per emulation, on first use.  The
-conditional block averages defined here, folded bottom-up over those
-nodes, are what the sampling protocol's preference announcements are
-computed from.
+boundary crosses, is found once per emulation, on first use.  Block sums
+folded bottom-up over those nodes are what the sampling protocol's
+preference announcements are computed from.
 """
 
 from __future__ import annotations
@@ -118,18 +117,6 @@ class MultisetEmulation:
             nodes.update(((1 << self.k) | b) >> s for s in range(zeros + 1, self.k + 1))
         return sorted(nodes)
 
-    def counts(self) -> dict[JointStrategy, int]:
-        starts, cells = self.runs
-        out: dict[JointStrategy, int] = {}
-        for cell, start, end in zip(cells, starts, [*starts[1:], self.size]):
-            out[cell] = out.get(cell, 0) + end - start
-        return out
-
-    def induced_distribution(self) -> JointDistribution:
-        """The uniform-over-table distribution this emulation realizes."""
-        share = Fraction(1, self.size)
-        return JointDistribution({cell: n * share for cell, n in self.counts().items()})
-
     def entry(self, bits: Sequence[int]) -> JointStrategy:
         if len(bits) != self.k:
             raise ValueError(f"need exactly {self.k} bits")
@@ -195,8 +182,7 @@ class PreferenceOracle:
     the two child sums compares the branches, and the same pass collects
     the set of mixed nodes where the player prefers 1.  The two halves of
     a block that is not mixed tie, so the player prefers 0 there, and
-    nothing of size 2^k is built.  A ``Fraction`` is built only when a sum
-    or an expectation is requested.
+    nothing of size 2^k is built.
     """
 
     def __init__(self, em: MultisetEmulation, game: Game):
@@ -210,7 +196,7 @@ class PreferenceOracle:
         self.game = game
         self.k = em.k
         self._scales: dict[int, tuple[int, dict[JointStrategy, int]]] = {}
-        self._folds: dict[int, tuple[dict[int, int], frozenset[int]]] = {}
+        self._ones: dict[int, frozenset[int]] = {}
 
     def _scaled(self, player: int) -> tuple[int, dict[JointStrategy, int]]:
         """``player``'s scale, and each cell's utility times it."""
@@ -239,81 +225,33 @@ class PreferenceOracle:
             total = numerators[self.em.table[(h << height) - self.em.size]] << height
         return total
 
-    def _fold(self, player: int) -> tuple[dict[int, int], frozenset[int]]:
-        """The mixed nodes' block sums and the nodes where ``player`` prefers 1.
+    def prefers_one(self, player: int) -> frozenset[int]:
+        """The internal nodes, as heap indices, where ``player`` prefers next bit 1.
 
-        This is the preference rule, and the only place it is written: ties
-        prefer 0.
+        Every one is mixed; at every other internal node ``player`` prefers
+        0.  This is the preference rule, and the only place it is written:
+        ties prefer 0.
         """
-        fold = self._folds.get(player)
-        if fold is None:
+        ones = self._ones.get(player)
+        if ones is None:
             numerators = self.numerators(player)
-            sums: dict[int, int] = {}
-            ones = []
+            sums: dict[int, int] = {}  # the block sums of the mixed nodes folded so far
+            found = []
             for h in reversed(self.em.mixed_nodes):
                 height = self.k - h.bit_length()  # of the children
                 zero = self._node_sum(numerators, sums, 2 * h, height)
                 one = self._node_sum(numerators, sums, 2 * h + 1, height)
                 if zero < one:
-                    ones.append(h)
+                    found.append(h)
                 sums[h] = zero + one
-            fold = self._folds[player] = sums, frozenset(ones)
-        return fold
-
-    def _scaled_sum(self, player: int, prefix: BitPrefix) -> tuple[int, int]:
-        """The block's utility sum times ``scale(player)``, and the block's width."""
-        m = len(prefix)
-        if m > self.k:
-            raise ValueError("prefix longer than the index width")
-        h, height = heap_index(prefix), self.k - m
-        sums = self._fold(player)[0]
-        return self._node_sum(self.numerators(player), sums, h, height), 1 << height
-
-    def block_sum(self, player: int, prefix: BitPrefix) -> Fraction:
-        total, _ = self._scaled_sum(player, prefix)
-        return Fraction(total, self.scale(player))
-
-    def conditional_expected(self, player: int, prefix: BitPrefix, next_bit: int) -> Fraction:
-        """Average payoff over the table block selected by prefix + next_bit."""
-        total, width = self._scaled_sum(player, tuple(prefix) + (next_bit,))
-        return Fraction(total, self.scale(player) * width)
-
-    def prefers_one(self, player: int) -> frozenset[int]:
-        """The internal nodes, as heap indices, where ``player`` prefers next bit 1.
-
-        Every one is mixed; at every other internal node ``player`` prefers 0.
-        """
-        return self._fold(player)[1]
+            ones = self._ones[player] = frozenset(found)
+        return ones
 
     def preference(self, player: int, prefix: BitPrefix) -> int:
         """+1 when extending the prefix with 0 is weakly better, else -1."""
         if len(prefix) >= self.k:
             raise ValueError("prefix must leave at least one undecided bit")
         return -1 if heap_index(prefix) in self.prefers_one(player) else 1
-
-
-# ---------------------------------------------------------------------------
-# Distributions over bit strings
-# ---------------------------------------------------------------------------
-
-BitstringDist = Mapping[BitPrefix, Fraction]
-
-
-def marginal(dist: BitstringDist, m: int) -> dict[BitPrefix, Fraction]:
-    """Sum out all but the first ``m`` bits.
-
-    ``marginal(d, 0)`` collapses to ``{(): 1}`` — the empty string carries
-    the full mass.
-    """
-    if m < 0:
-        raise ValueError("marginal length must be nonnegative")
-    out: dict[BitPrefix, Fraction] = {}
-    for bits, mass in dist.items():
-        if len(bits) < m:
-            raise ValueError(f"bit string {bits} shorter than marginal length {m}")
-        head = tuple(bits[:m])
-        out[head] = out.get(head, ZERO) + mass
-    return out
 
 
 def l1_distance(d1: Mapping, d2: Mapping) -> Fraction:

@@ -111,7 +111,9 @@ class _Policy(Mapping):
     over a ``k``-round tree, so it holds nothing of size 2**k: a lookup
     maps the prefix to its heap index, and ``items`` and ``values`` walk
     heap indices, which run in key order.  Equality is a mapping's, so it
-    equals the dict of its items.
+    equals the dict of its items.  Copy it with ``dict(policy.items())``,
+    which walks heap indices; ``dict(policy)`` looks every prefix up
+    through the checked ``__getitem__`` and is about four times slower.
     """
 
     def __init__(self, weights: dict[int, Fraction], k: int):
@@ -290,14 +292,19 @@ class PolicyParty(PartyBehavior):
     """Plays a per-prefix coin policy against an honest opponent.
 
     ``policy`` maps each prefix to the probability w of steering the next
-    bit away from the honest side's preferred value; a missing prefix has
-    w = 0.  w == 0 is realized by announcing the own true preference:
-    where both true preferences agree that fixes the honest bit with no
-    coin, and where they differ it starts a coin flip that the policy
-    loses on purpose (request 0).  w > 0 is realized by announcing the
-    opposite of the honest side's preference and requesting w from the
-    coin functionality; where both true preferences agree, that
-    announcement is a lie.
+    bit away from the honest side's preferred value.  w == 0 is realized
+    by announcing the own true preference: where both true preferences
+    agree that fixes the honest bit with no coin, and where they differ it
+    starts a coin flip that the policy loses on purpose (request 0).
+    w > 0 is realized by announcing the opposite of the honest side's
+    preference and requesting w from the coin functionality; where both
+    true preferences agree, that announcement is a lie.
+
+    A prefix that the policy does not hold is played as σ: a true
+    announcement and, at a coin, an honest flip, as
+    :func:`~ce_sampler.analysis.policy_outcome` values it.  A plain
+    mapping holds its keys.  An analysis policy holds every prefix shorter
+    than its own round count, with w = 0 where its weights have no key.
 
     A plain mapping is copied here, its weights coerced with
     ``as_fraction``, and checked against the run's round count by
@@ -313,6 +320,8 @@ class PolicyParty(PartyBehavior):
 
     def start(self, game, em, config, player, oracle) -> None:
         self.weights = policy_weights(self.policy, config.k)
+        # From this node on, a node missing from the weights is not held and flips honestly.
+        self.first_honest = 1 << self.policy.k if isinstance(self.policy, _Policy) else 1
         super().start(game, em, config, player, oracle)
 
     def announce(self, h: int) -> PreferenceSign:
@@ -321,7 +330,7 @@ class PolicyParty(PartyBehavior):
         return 1 if h in self.oracle.prefers_one(3 - self.player) else -1
 
     def coin_request(self, h: int) -> Fraction | None:
-        return self.weights.get(h, ZERO)
+        return self.weights.get(h, ZERO if h < self.first_honest else None)
 
 
 def _show_prefix(prefix) -> str:

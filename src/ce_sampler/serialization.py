@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .emulation import MultisetEmulation
-from .games import Game, JointDistribution, JointStrategy, as_fraction
+from .games import Game, JointDistribution, as_fraction
 from .protocol import ScriptedParty, Transcript
 
 
@@ -101,42 +101,6 @@ def parse_game(obj: Mapping[str, Any], where: str = "<game>") -> Game:
 
 def parse_game_file(path: str | Path) -> Game:
     return parse_game(_load_json(path), where=str(path))
-
-
-def game_to_json(game: Game) -> dict:
-    return {
-        "strategies": [list(game.strategies_1), list(game.strategies_2)],
-        "u1": [[str(v) for v in row] for row in game.u1],
-        "u2": [[str(v) for v in row] for row in game.u2],
-    }
-
-
-def _parse_cell_key(key: str, where: str) -> JointStrategy:
-    parts = key.split(",")
-    if len(parts) != 2:
-        raise DimensionMismatchError(f"{where}: distribution key {key!r} is not 'row,col'")
-    try:
-        return JointStrategy(int(parts[0]), int(parts[1]))
-    except ValueError as exc:
-        raise NonRationalEntryError(f"{where}: distribution key {key!r}: {exc}") from exc
-
-
-def parse_distribution(obj: Mapping[str, Any], where: str = "<dist>") -> JointDistribution:
-    """Distribution format: ``{"probs": {"0,0": "1/2", "1,1": "1/2"}}``."""
-    probs = obj.get("probs")
-    if not isinstance(probs, dict):
-        raise DimensionMismatchError(f"{where}: field 'probs' must be an object")
-    out = {}
-    for key, value in probs.items():
-        cell = _parse_cell_key(key, where)
-        try:
-            out[cell] = as_fraction(value)
-        except (ValueError, TypeError) as exc:
-            raise NonRationalEntryError(f"{where}: field 'probs' entry {key!r}: {exc}") from exc
-    try:
-        return JointDistribution(out)
-    except ValueError as exc:
-        raise NonRationalEntryError(f"{where}: {exc}") from exc
 
 
 def distribution_to_json(dist: JointDistribution) -> dict:

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from ce_sampler import Game, JointDistribution, JointStrategy, check_ce, emulate
+from ce_sampler.emulation import bits_to_index
 
 
 @pytest.fixture
@@ -79,3 +81,42 @@ def random_distribution(rng: random.Random, cells: list[JointStrategy]) -> Joint
     return JointDistribution(
         {c: w / total for c, w in zip(cells, weights) if w}
     )
+
+
+# ---------------------------------------------------------------------------
+# Brute-force references: each reads ``em.table`` directly, never the oracle
+# ---------------------------------------------------------------------------
+
+
+def block_average(em, game, player, prefix):
+    """``player``'s average utility over the table block that ``prefix`` selects."""
+    width = 1 << (em.k - len(prefix))
+    lo = bits_to_index(prefix) * width
+    return sum((game.utility(player, cell) for cell in em.table[lo : lo + width]), F(0)) / width
+
+
+def preferred_bit(em, game, player, prefix):
+    """The next bit ``player`` prefers after ``prefix``, by block average; ties prefer 0."""
+    zero, one = (block_average(em, game, player, (*prefix, b)) for b in (0, 1))
+    return 0 if zero >= one else 1
+
+
+def table_expectation(em, game, dist, player):
+    """E[u_player] when the output profile is read off the table at ``dist``'s bit strings."""
+    return sum(
+        (mass * game.utility(player, em.table[bits_to_index(bits)]) for bits, mass in dist.items()),
+        F(0),
+    )
+
+
+def table_law(table):
+    """The law of a uniform draw from ``table``: each profile's copy count over its length."""
+    return {cell: F(n, len(table)) for cell, n in Counter(table).items()}
+
+
+def prefix_marginal(dist, m):
+    """The law of the first ``m`` bits of a bit-string distribution."""
+    out = {}
+    for bits, mass in dist.items():
+        out[bits[:m]] = out.get(bits[:m], F(0)) + mass
+    return out

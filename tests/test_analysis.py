@@ -32,7 +32,6 @@ from ce_sampler.acceptance import battery
 from ce_sampler.analysis import (
     POWERS,
     honest_output_distribution,
-    leaf_expectation,
     policy_outcome,
     truthful_announcements_optimal,
     verify_distance_bounds,
@@ -44,28 +43,28 @@ from ce_sampler.emulation import (
     bits_to_index,
     index_to_bits,
     l1_distance,
-    marginal,
 )
 from ce_sampler.serialization import emulation_to_json
-from conftest import random_distribution, random_rational_game
+from conftest import (
+    preferred_bit,
+    prefix_marginal,
+    random_distribution,
+    random_rational_game,
+    table_expectation,
+)
 
 HALF = F(1, 2)
 
 
 def recursive_honest_oracle(em, game):
-    """Second, direct implementation of the honest-run distribution."""
-    oracle = PreferenceOracle(em, game)
+    """Second, direct implementation of the honest-run distribution, read off the table."""
     dist = {}
 
     def walk(prefix, mass):
         if len(prefix) == em.k:
             dist[prefix] = dist.get(prefix, F(0)) + mass
             return
-        prefs = []
-        for player in (1, 2):
-            zero = oracle.conditional_expected(player, prefix, 0)
-            one = oracle.conditional_expected(player, prefix, 1)
-            prefs.append(0 if zero >= one else 1)
+        prefs = [preferred_bit(em, game, player, prefix) for player in (1, 2)]
         if prefs[0] == prefs[1]:
             walk(prefix + (prefs[0],), mass)
         else:
@@ -130,7 +129,7 @@ class TestWorstCaseAdversary:
             for dishonest in (1, 2):
                 adv = worst_case_adversary(em, game, F(0), dishonest)
                 assert adv.leaf_distribution == p_h
-                assert adv.value == leaf_expectation(em, game, p_h, dishonest)
+                assert adv.value == table_expectation(em, game, p_h, dishonest)
 
     def test_point_mass_leaves_nothing_to_steer(self, bos):
         point = JointDistribution.point_mass(JointStrategy(0, 0))
@@ -179,13 +178,13 @@ class TestWorstCaseAdversary:
         outcome = policy_outcome(em, bos, worst_case_adversary(em, bos, F(0), 1).policy, 1)
         p_h = honest_output_distribution(em, bos)
         assert outcome.leaf_distribution == p_h
-        assert outcome.value == leaf_expectation(em, bos, p_h, 1)
+        assert outcome.value == table_expectation(em, bos, p_h, 1)
 
     def test_spiteful_objective_minimizes(self, bos, bos_fair_ce):
         em = emulate(bos, bos_fair_ce, F(1, 2))
         p_h = honest_output_distribution(em, bos)
         spite = worst_case_adversary(em, bos, F(1, 60), 1, objective="min-opponent")
-        assert spite.value <= leaf_expectation(em, bos, p_h, 2)
+        assert spite.value <= table_expectation(em, bos, p_h, 2)
         assert spite.value == 3 - 2 * F(1, 60)  # push toward the (A,A) half
 
     def test_rejects_bad_arguments(self, bos, bos_fair_ce):
@@ -222,16 +221,13 @@ class TestScaledWeights:
     def recursive_outcome(em, game, policy, dishonest, objective):
         honest = 3 - dishonest
         player = dishonest if objective == "max-own" else honest
-        oracle = PreferenceOracle(em, game)
         dist = {}
 
         def walk(prefix, mass):
             if len(prefix) == em.k:
                 dist[prefix] = mass
                 return
-            zero = oracle.conditional_expected(honest, prefix, 0)
-            one = oracle.conditional_expected(honest, prefix, 1)
-            b_h = 0 if zero >= one else 1
+            b_h = preferred_bit(em, game, honest, prefix)
             w = policy[prefix]
             walk(prefix + (b_h,), mass * (1 - w))
             walk(prefix + (1 - b_h,), mass * w)
@@ -344,7 +340,9 @@ class TestDistanceBounds:
         honest = worst_case_adversary(em, bos, F(0), 1).policy
         q = policy_outcome(em, bos, honest, 1).leaf_distribution
         p_h = honest_output_distribution(em, bos)
-        l1_per_round = tuple(l1_distance(marginal(q, m), marginal(p_h, m)) for m in range(em.k + 1))
+        l1_per_round = tuple(
+            l1_distance(prefix_marginal(q, m), prefix_marginal(p_h, m)) for m in range(em.k + 1)
+        )
         assert l1_per_round == (F(0),) * 4
         assert all(d <= m * epsilon / em.k for m, d in enumerate(l1_per_round))
 
@@ -373,7 +371,7 @@ class TestPayoffGuarantees:
             source = sum(
                 mass * norm.utility(player, cell) for cell, mass in bos_fair_ce.probs.items()
             )
-            assert leaf_expectation(em, norm, p_h, player) == source
+            assert table_expectation(em, norm, p_h, player) == source
 
     def test_guarantees_on_random_instances(self):
         rng = random.Random(29)
@@ -533,10 +531,8 @@ class TestBruteForcePolicies:
         for game, em in self.instances(bos, bos_fair_ce):
             assert em.k <= 3
             nodes = [prefix for m in range(em.k) for prefix in itertools.product((0, 1), repeat=m)]
-            oracle = PreferenceOracle(em, game)
             preferred = {
-                (player, prefix): 0 if oracle.conditional_expected(player, prefix, 0)
-                >= oracle.conditional_expected(player, prefix, 1) else 1
+                (player, prefix): preferred_bit(em, game, player, prefix)
                 for player in (1, 2) for prefix in nodes
             }
             for power, objective, dishonest in itertools.product(
@@ -787,13 +783,6 @@ class TestRunLengthEngine:
             assert isinstance(ones, frozenset)
             assert ones == ones_of(dense_preferred_table(em, game, player))
             assert ones <= set(em.mixed_nodes)
-            leaf = [game.utility(player, cell) for cell in em.table]
-            for m in range(em.k + 1):
-                width = 1 << (em.k - m)
-                for j in range(1 << m):
-                    prefix = index_to_bits(j, m)
-                    block = leaf[j * width : (j + 1) * width]
-                    assert oracle.block_sum(player, prefix) == sum(block, F(0))
         assert em.mixed_nodes == [
             (1 << m) + j
             for m in range(em.k)
@@ -810,13 +799,6 @@ class TestRunLengthEngine:
         for player in (1, 2):  # interleaved, so each oracle reads what the other left
             for g, oracle in zip(games, oracles):
                 assert oracle.prefers_one(player) == ones_of(dense_preferred_table(em, g, player))
-        for g, oracle in zip(games, oracles):
-            for player in (1, 2):
-                leaf = [g.utility(player, cell) for cell in em.table]
-                for prefix in prefixes_of(em.k + 1):
-                    width = 1 << (em.k - len(prefix))
-                    lo = bits_to_index(prefix) * width
-                    assert oracle.block_sum(player, prefix) == sum(leaf[lo : lo + width], F(0))
         assert set(vars(em)) <= {"k", "table", "source", "delta", "runs", "mixed_nodes"}
 
     def test_emulate_leaves_the_shape_uncomputed(self):
@@ -987,3 +969,21 @@ class TestPoliciesPlayedInPlace:
             for policy, objective in itertools.product(policies, ("max-own", "min-opponent")):
                 replay = policy_outcome(em, game, policy, cheater, objective)
                 assert replay == policy_outcome(em, game, dict(policy), cheater, objective)
+
+
+@pytest.mark.parametrize("game, em", layouts())
+def test_a_smaller_policy_plays_the_nodes_below_it_as_sigma(game, em):
+    # An analysis policy holds the nodes above its own round count; below
+    # them the party flips honestly, so play reaches every leaf that
+    # ``policy_outcome`` gives mass and no other.
+    k = em.k
+    config = ProtocolConfig(F(1, 10), em.delta, k)
+    for m, power, cheater in itertools.product(range(k), POWERS, (1, 2)):
+        small = hand_built(m, em.table[:: 1 << (k - m)])
+        policy = worst_case_adversary(small, game, F(1, 40), cheater, power).policy
+        party = PolicyParty(policy)
+        parties = (party, HonestParty()) if cheater == 1 else (HonestParty(), party)
+        counts = simulate_outputs(game, em.source, config, *parties, RandomStream(9), 500, em=em)
+        law = policy_outcome(em, game, policy, cheater).leaf_distribution
+        assert set(counts) <= set(law), (m, power, cheater)
+        assert {bits for bits, mass in law.items() if mass >= F(1, 32)} <= set(counts)

@@ -1,6 +1,7 @@
-"""Multiset emulation: rounding, layout, conditionals, bit-string marginals."""
+"""Multiset emulation: rounding, layout, the preference oracle, bit-string distributions."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -14,12 +15,18 @@ from ce_sampler import (
     emulate,
     expected_utility,
     l1_distance,
-    marginal,
     normalize,
     rounds_for,
 )
 from ce_sampler.emulation import bits_to_index, index_to_bits
-from conftest import random_distribution, random_rational_game
+from conftest import (
+    block_average,
+    preferred_bit,
+    prefix_marginal,
+    random_distribution,
+    random_rational_game,
+    table_law,
+)
 
 
 class TestRoundCount:
@@ -39,21 +46,21 @@ class TestEmulate:
         em = emulate(bos, bos_fair_ce, F(1, 2))
         assert em.k == 3
         assert em.table == ((0, 0),) * 4 + ((1, 1),) * 4
-        assert l1_distance(em.induced_distribution().probs, bos_fair_ce.probs) == 0
+        assert l1_distance(table_law(em.table), bos_fair_ce.probs) == 0
 
     def test_dyadic_probabilities_are_exact(self):
         game = Game.from_payoffs([[1, 0]], [[0, 1]])
         p = JointDistribution({JointStrategy(0, 0): F(3, 4), JointStrategy(0, 1): F(1, 4)})
         em = emulate(game, p, F(1, 2))
         assert em.k == 2
-        assert em.counts() == {JointStrategy(0, 0): 3, JointStrategy(0, 1): 1}
-        assert l1_distance(em.induced_distribution().probs, p.probs) == 0
+        assert Counter(em.table) == {JointStrategy(0, 0): 3, JointStrategy(0, 1): 1}
+        assert l1_distance(table_law(em.table), p.probs) == 0
 
     def test_uniform_on_power_of_two_support(self):
         game = Game.from_payoffs([[1, 2, 3, 4]], [[4, 3, 2, 1]])
         p = JointDistribution.uniform(list(game.cells()))
         em = emulate(game, p, F(1))
-        assert l1_distance(em.induced_distribution().probs, p.probs) == 0
+        assert l1_distance(table_law(em.table), p.probs) == 0
 
     def test_largest_remainder_properties(self):
         rng = random.Random(13)
@@ -62,13 +69,13 @@ class TestEmulate:
             p = random_distribution(rng, list(game.cells()))
             delta = rng.choice([F(1, 2), F(1, 3), F(1, 8)])
             em = emulate(game, p, delta)
-            counts = em.counts()
+            counts = Counter(em.table)
             size = em.size
             assert sum(counts.values()) == size
             assert len(em.table) == size
             for cell in game.cells():
                 assert abs(F(counts.get(cell, 0), size) - p.prob(cell)) < F(1, size)
-            gap = l1_distance(em.induced_distribution().probs, p.probs)
+            gap = l1_distance(table_law(em.table), p.probs)
             assert gap <= F(game.n_cells, size) <= delta
 
     def test_payoff_gap_bounded_by_budget(self):
@@ -78,7 +85,7 @@ class TestEmulate:
             p = random_distribution(rng, list(game.cells()))
             delta = rng.choice([F(1, 2), F(1, 4)])
             em = emulate(game, p, delta)
-            induced = em.induced_distribution()
+            induced = JointDistribution(table_law(em.table))
             for player in (1, 2):
                 gap = abs(
                     expected_utility(game, induced, player) - expected_utility(game, p, player)
@@ -118,24 +125,25 @@ class TestEmulate:
 
 class TestConditionals:
     def test_branch_averages(self, bos, bos_fair_ce):
-        oracle = PreferenceOracle(emulate(bos, bos_fair_ce, F(1, 2)), bos)
-        assert oracle.conditional_expected(1, (), 0) == 4
-        assert oracle.conditional_expected(1, (), 1) == 2
-        assert oracle.conditional_expected(2, (), 0) == 2
-        assert oracle.conditional_expected(2, (), 1) == 4
+        em = emulate(bos, bos_fair_ce, F(1, 2))
+        oracle = PreferenceOracle(em, bos)
+        assert [block_average(em, bos, 1, (b,)) for b in (0, 1)] == [4, 2]
+        assert [block_average(em, bos, 2, (b,)) for b in (0, 1)] == [2, 4]
+        assert [oracle.preference(player, ()) for player in (1, 2)] == [1, -1]
 
     def test_full_prefix_is_single_entry(self, bos, bos_fair_ce):
         em = emulate(bos, bos_fair_ce, F(1, 2))
         oracle = PreferenceOracle(em, bos)
         for index in range(em.size):
             bits = index_to_bits(index, em.k)
-            value = oracle.conditional_expected(1, bits[:-1], bits[-1])
+            value = block_average(em, bos, 1, bits)
             assert value == bos.utility(1, em.table[index])
+            assert F(oracle.numerators(1)[em.table[index]], oracle.scale(1)) == value
 
     def test_prefix_too_long_rejected(self, bos, bos_fair_ce):
         oracle = PreferenceOracle(emulate(bos, bos_fair_ce, F(1, 2)), bos)
         with pytest.raises(ValueError):
-            oracle.conditional_expected(1, (0, 1, 1), 0)
+            oracle.preference(1, (0, 1, 1, 0))
 
     def test_preferred_bits_per_level(self, bos, bos_fair_ce):
         # Ties (equal branch averages) prefer 0, as in ``preference``.
@@ -154,9 +162,7 @@ class TestConditionals:
                 for m in range(em.k):
                     prefixes = [index_to_bits(j, m) for j in range(1 << m)]
                     assert table[1 << m : 2 << m] == [
-                        0 if oracle.conditional_expected(player, prefix, 0)
-                        >= oracle.conditional_expected(player, prefix, 1) else 1
-                        for prefix in prefixes
+                        preferred_bit(em, game, player, prefix) for prefix in prefixes
                     ]
                     assert table[1 << m : 2 << m] == [
                         0 if oracle.preference(player, prefix) == 1 else 1 for prefix in prefixes
@@ -191,22 +197,14 @@ class TestIntegerOracle:
             oracle = PreferenceOracle(em, game)
             for player in (1, 2):
                 leaf = [game.utility(player, cell) for cell in em.table]
-                for m in range(em.k + 1):
+                scale, numerators = oracle.scale(player), oracle.numerators(player)
+                assert [F(numerators[cell], scale) for cell in em.table] == leaf
+                for m in range(em.k):
                     width = 1 << (em.k - m)
-                    sums = [sum(leaf[j * width:(j + 1) * width], F(0)) for j in range(1 << m)]
-                    prefixes = [index_to_bits(j, m) for j in range(1 << m)]
-                    assert [oracle.block_sum(player, prefix) for prefix in prefixes] == sums
-                    if m == em.k:
-                        continue
                     halves = [
                         (sum(leaf[lo:lo + width // 2], F(0)), sum(leaf[lo + width // 2:lo + width], F(0)))
                         for lo in range(0, em.size, width)
                     ]
-                    assert [
-                        (oracle.conditional_expected(player, prefix, 0),
-                         oracle.conditional_expected(player, prefix, 1))
-                        for prefix in prefixes
-                    ] == [(zero / (width // 2), one / (width // 2)) for zero, one in halves]
                     ones = oracle.prefers_one(player)
                     assert [int(h in ones) for h in range(1 << m, 2 << m)] == [
                         0 if zero >= one else 1 for zero, one in halves
@@ -216,10 +214,11 @@ class TestIntegerOracle:
         game = Game.from_payoffs([[F(1, 3), F(-2, 7)]], [[F(5, 11), F(0)]])
         p = JointDistribution({JointStrategy(0, 0): F(1, 2), JointStrategy(0, 1): F(1, 2)})
         oracle = PreferenceOracle(emulate(game, p, F(1)), game)
-        assert oracle.block_sum(1, ()) == F(1, 3) - F(2, 7)
-        assert oracle.conditional_expected(1, (), 1) == F(-2, 7)
-        assert oracle.conditional_expected(2, (), 0) == F(5, 11)
+        assert oracle.scale(1) == 21 and oracle.scale(2) == 11
+        assert oracle.numerators(1) == {JointStrategy(0, 0): 7, JointStrategy(0, 1): -6}
+        assert oracle.numerators(2) == {JointStrategy(0, 0): 5, JointStrategy(0, 1): 0}
         assert oracle.preference(1, ()) == 1
+        assert oracle.preference(2, ()) == 1
 
     def test_full_length_prefix_has_no_preference(self, bos, bos_fair_ce):
         em = emulate(bos, bos_fair_ce, F(1, 2))
@@ -227,8 +226,6 @@ class TestIntegerOracle:
         for player in (1, 2):
             with pytest.raises(ValueError):
                 oracle.preference(player, (0,) * em.k)
-            with pytest.raises(ValueError):
-                oracle.conditional_expected(player, (0,) * em.k, 0)
 
 
 class TestOracleMeetsGame:
@@ -241,8 +238,11 @@ class TestOracleMeetsGame:
 
     def test_a_table_inside_a_larger_game_is_accepted(self, bos, bos_fair_ce, corner_instance):
         big, _ = corner_instance
-        oracle = PreferenceOracle(emulate(bos, bos_fair_ce, F(1, 2)), big)
-        assert oracle.block_sum(1, ()) == 4 * big.u1[0][0] + 4 * big.u1[1][1]
+        em = emulate(bos, bos_fair_ce, F(1, 2))
+        oracle = PreferenceOracle(em, big)
+        assert oracle.numerators(1) == {(0, 0): big.u1[0][0], (1, 1): big.u1[1][1]}
+        for player in (1, 2):
+            assert oracle.preference(player, ()) == 1 - 2 * preferred_bit(em, big, player, ())
 
     @pytest.mark.parametrize("player", [0, 3, -1])
     def test_bad_player_is_rejected(self, bos, bos_fair_ce, player):
@@ -252,8 +252,6 @@ class TestOracleMeetsGame:
             for query in (
                 lambda: oracle.preference(player, ()),
                 lambda: oracle.prefers_one(player),
-                lambda: oracle.block_sum(player, (0,)),
-                lambda: oracle.conditional_expected(player, (), 1),
                 lambda: oracle.scale(player),
                 lambda: oracle.numerators(player),
             ):
@@ -278,15 +276,15 @@ class TestBitHelpers:
 class TestBitstringDistributions:
     def test_marginal_to_empty_prefix(self):
         dist = {(0, 1): F(1, 3), (1, 1): F(2, 3)}
-        assert marginal(dist, 0) == {(): F(1)}
+        assert prefix_marginal(dist, 0) == {(): F(1)}
 
     def test_marginal_of_uniform(self):
         dist = {bits: F(1, 4) for bits in [(0, 0), (0, 1), (1, 0), (1, 1)]}
-        assert marginal(dist, 1) == {(0,): F(1, 2), (1,): F(1, 2)}
+        assert prefix_marginal(dist, 1) == {(0,): F(1, 2), (1,): F(1, 2)}
 
     def test_marginal_of_point_mass(self):
         dist = {(1, 0, 1): F(1)}
-        assert marginal(dist, 2) == {(1, 0): F(1)}
+        assert prefix_marginal(dist, 2) == {(1, 0): F(1)}
 
     def test_l1_identical(self):
         dist = {(0,): F(1, 2), (1,): F(1, 2)}
@@ -316,4 +314,4 @@ class TestBitstringDistributions:
             d1, d2 = rand_dist(), rand_dist()
             full = l1_distance(d1, d2)
             for m in range(k + 1):
-                assert l1_distance(marginal(d1, m), marginal(d2, m)) <= full
+                assert l1_distance(prefix_marginal(d1, m), prefix_marginal(d2, m)) <= full

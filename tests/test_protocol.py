@@ -26,7 +26,7 @@ from ce_sampler import (
     simulate_outputs,
 )
 from ce_sampler.analysis import honest_output_distribution, worst_case_adversary
-from conftest import random_distribution, random_rational_game
+from conftest import block_average, preferred_bit, random_distribution, random_rational_game
 
 
 class ScriptedCoins:
@@ -75,11 +75,10 @@ class TestPreferences:
             assert oracle.preference(player, ()) == 1
 
     def test_matches_conditional_utilities(self, bos, bos_fair_ce):
-        oracle = PreferenceOracle(emulate(bos, bos_fair_ce, F(1, 2)), bos)
+        em = emulate(bos, bos_fair_ce, F(1, 2))
+        oracle = PreferenceOracle(em, bos)
         for player in (1, 2):
-            zero = oracle.conditional_expected(player, (), 0)
-            one = oracle.conditional_expected(player, (), 1)
-            expected = 1 if zero >= one else -1
+            expected = 1 if preferred_bit(em, bos, player, ()) == 0 else -1
             assert oracle.preference(player, ()) == expected
 
 
@@ -257,8 +256,8 @@ class TestRunProtocol:
                 if signs[0] == signs[1]:
                     chosen = 0 if signs[0] == 1 else 1
                     for player in (1, 2):
-                        better = oracle.conditional_expected(player, prefix, chosen)
-                        worse = oracle.conditional_expected(player, prefix, 1 - chosen)
+                        better = block_average(em, game, player, (*prefix, chosen))
+                        worse = block_average(em, game, player, (*prefix, 1 - chosen))
                         assert better >= worse
                 walk(prefix + (0,))
                 walk(prefix + (1,))
@@ -280,6 +279,23 @@ class TestBehaviors:
         (prefix,) = policy
         with pytest.raises(ValueError, match=re.escape(str(prefix))):
             run_protocol(bos, bos_fair_ce, config, cheater, HonestParty(), RandomStream(0), em=em)
+
+    def test_a_node_the_policy_does_not_hold_is_played_as_sigma(self, bos, bos_fair_ce):
+        em = emulate(bos, bos_fair_ce, F(1, 2))
+        config = ProtocolConfig(F(1, 10), F(1, 2), em.k)
+
+        def sample(party1, party2):
+            return simulate_outputs(
+                bos, bos_fair_ce, config, party1, party2, RandomStream(3), 400, em=em
+            )
+
+        honest = sample(HonestParty(), HonestParty())
+        assert set(honest) == {(0, 0, 0), (1, 0, 0)}  # the root is a coin
+        assert sample(PolicyParty({}), HonestParty()) == honest
+        assert sample(HonestParty(), PolicyParty({})) == honest
+        # A held node at w = 0 still throws its flip to the honest side.
+        assert sample(PolicyParty({(): 0}), HonestParty()) == {(1, 0, 0): 400}
+        assert sample(HonestParty(), PolicyParty({(): 0})) == {(0, 0, 0): 400}
 
     def test_greedy_party_builds_nothing_of_size_2_to_the_k(self, bos):
         # bos's mixed equilibrium is not dyadic, so its table has mixed nodes at every depth.

@@ -73,7 +73,6 @@ def test_exported_names_are_pinned():
         "flip_law",
         "honest_output_distribution",
         "l1_distance",
-        "marginal",
         "normalize",
         "play_extended_game",
         "policy_outcome",
