@@ -99,13 +99,15 @@ def _sum_to_one(n: int) -> Constraint:
     return Constraint(tuple(Fraction(1) for _ in range(n)), EQ, Fraction(1))
 
 
-def build_ce_lp(game: Game, objective: CeObjective = CeObjective.MAX_TOTAL_LEX) -> LpProblem:
+def build_ce_lp(game: Game, objective: CeObjective | str = CeObjective.MAX_TOTAL_LEX) -> LpProblem:
     """The LP whose feasible region is exactly the game's CE polytope.
 
     The objective vector is the total payoff for MAX_TOTAL_LEX and zero
     otherwise (MAX_FAIR's maximin step is not a fixed linear functional;
-    :func:`solve_ce` adds epigraph columns for it).
+    :func:`solve_ce` adds epigraph columns for it).  ``objective`` may be a
+    member or its value; an unknown value raises :class:`ValueError`.
     """
+    objective = CeObjective(objective)
     n = game.n_cells
     rows = deviation_constraints(game) + _nonnegativity_constraints(n) + [_sum_to_one(n)]
     if objective is CeObjective.MAX_TOTAL_LEX:
@@ -121,7 +123,7 @@ def _unit(n: int, i: int) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def solve_ce(game: Game, objective: CeObjective = CeObjective.MAX_TOTAL_LEX) -> JointDistribution:
+def solve_ce(game: Game, objective: CeObjective | str = CeObjective.MAX_TOTAL_LEX) -> JointDistribution:
     """Compute a correlated equilibrium under the chosen selection rule.
 
     All selection steps form one lexicographic sequence on one tableau
@@ -136,8 +138,10 @@ def solve_ce(game: Game, objective: CeObjective = CeObjective.MAX_TOTAL_LEX) -> 
     The CE polytope is never empty (every mixed equilibrium lies inside
     it), so this always returns a distribution; it passes
     :func:`ce_sampler.games.check_ce` exactly, and identical inputs yield
-    identical output.
+    identical output.  ``objective`` may be a member or its value; an
+    unknown value raises :class:`ValueError`.
     """
+    objective = CeObjective(objective)
     n = game.n_cells
     rows = deviation_constraints(game) + [_sum_to_one(n)]
     steps = [_unit(n, i) for i in range(n)]

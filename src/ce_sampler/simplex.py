@@ -34,6 +34,13 @@ public :func:`simplex_solve` and :func:`simplex_sequence` keep the
 artificial start, whose vertices callers rely on (the acceptance battery
 takes its CE points from them), and only CE selection, whose every
 answer is unique, uses the slack start.
+
+A repeated solve of the same constraints skips phase 1: one module-level
+entry keeps the integer start of the last finished phase 1 (sizes,
+artificial row scales, starting basis, right-hand side and every row,
+compared by value) with the tableau phase 1 reached, and because phase 1
+reads nothing but that start, copying that tableau gives exactly the
+pivots, vertices and errors a fresh phase 1 would.
 """
 
 from __future__ import annotations
@@ -289,6 +296,14 @@ def simplex_sequence(
     return _optimize(constraints, objectives, lexicographic, slack_start=False)
 
 
+# The integer start of the last tableau whose phase 1 succeeded, and that
+# tableau's (det, matrix, rhs, basis) after drive_out_artificials.  Both are
+# private copies held as lists: rows built as tuples and then dropped pile up
+# in CPython's per-size tuple free lists (0.6-0.8 MB of peak RSS over chained CE
+# selections).
+_last_phase_one: tuple = (None, None)
+
+
 def _optimize(
     constraints: Sequence[Constraint],
     objectives: Sequence[Sequence],
@@ -311,14 +326,24 @@ def _optimize(
     tab = _Tableau(constraints, n, slack_start)
 
     if tab.scales:
-        # Artificial i carries scales[i] times the unscaled artificial, so
-        # the cost -1/scales[i] makes phase 1 minimize the same sum.
-        phase1_scale = math.lcm(*tab.scales)
-        phase1_cost = [0] * tab.first_artificial + [-phase1_scale // s for s in tab.scales]
-        tab.run(phase1_cost, range(tab.width))
-        if tab.value(phase1_cost, phase1_scale) != 0:
-            raise LpInfeasibleError("artificial variables cannot be driven to zero")
-        tab.drive_out_artificials()
+        global _last_phase_one
+        start = (n, tab.first_artificial, tab.scales, tab.basis, tab.rhs, tab.matrix)
+        if _last_phase_one[0] == start:
+            tab.det, matrix, rhs, basis = _last_phase_one[1]
+            tab.matrix, tab.rhs, tab.basis = [line[:] for line in matrix], rhs[:], basis[:]
+        else:
+            # phase 1 pivots these lists in place, so the entry keeps copies
+            start = start[:3] + (tab.basis[:], tab.rhs[:], [line[:] for line in tab.matrix])
+            # Artificial i carries scales[i] times the unscaled artificial, so
+            # the cost -1/scales[i] makes phase 1 minimize the same sum.
+            phase1_scale = math.lcm(*tab.scales)
+            phase1_cost = [0] * tab.first_artificial + [-phase1_scale // s for s in tab.scales]
+            tab.run(phase1_cost, range(tab.width))
+            if tab.value(phase1_cost, phase1_scale) != 0:
+                raise LpInfeasibleError("artificial variables cannot be driven to zero")
+            tab.drive_out_artificials()
+            _last_phase_one = start, (tab.det, [line[:] for line in tab.matrix], tab.rhs[:],
+                                      tab.basis[:])
 
     columns: Sequence[int] = range(tab.first_artificial)
     solutions = []

@@ -237,10 +237,16 @@ class TestSolve:
                 solve_ce(game, CeObjective.MAX_FAIR)
             )
 
-    def test_objective_parsing(self):
+    def test_objective_parsing(self, bos):
         assert CeObjective.from_string("max-fair") is CeObjective.MAX_FAIR
         with pytest.raises(ValueError):
             CeObjective.from_string("fairest")
+        # a value names its member, and an unknown one is refused
+        assert solve_ce(bos, "max-fair") == solve_ce(bos, CeObjective.MAX_FAIR)
+        assert build_ce_lp(bos, "max-total-lex") == build_ce_lp(bos, CeObjective.MAX_TOTAL_LEX)
+        for select in (solve_ce, build_ce_lp):
+            with pytest.raises(ValueError):
+                select(bos, "nope")
 
 
 class TestVertices:

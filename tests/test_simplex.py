@@ -7,7 +7,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from ce_sampler import CeObjective, Game, build_ce_lp
+from ce_sampler import CeObjective, Game, build_ce_lp, ce_slice_bounds, simplex, solve_ce
+from ce_sampler.acceptance import _random_ce_point
 from ce_sampler.simplex import (
     EQ,
     GE,
@@ -17,9 +18,11 @@ from ce_sampler.simplex import (
     LpProblem,
     LpUnboundedError,
     _optimize,
+    _Tableau,
     simplex_sequence,
     simplex_solve,
 )
+from conftest import random_rational_game
 
 # SHA-256 of the vertices simplex_solve returns on 30 seeded CE LPs.
 CE_VERTEX_PATH = "3dff81639a6e3d53b288aa1698f9e0e8ebc8cf4256fa11ccfcb33f2aee752cd0"
@@ -334,6 +337,112 @@ class TestSlackStart:
                     for objective, step in zip(objectives, steps):
                         assert feasible(problem, step.values)
                         assert dot(objective, step.values) == step.objective_value
+
+
+def ce_rows(game: Game) -> tuple[Constraint, ...]:
+    return build_ce_lp(game, CeObjective.FEASIBLE).constraints
+
+
+def outcomes(calls, clear: bool) -> list:
+    """Each call's result or error type; with ``clear`` the phase-1 entry is dropped first."""
+    results = []
+    for call in calls:
+        if clear:
+            simplex._last_phase_one = (None, None)
+        try:
+            results.append(call())
+        except (LpInfeasibleError, LpUnboundedError) as exc:
+            results.append(type(exc))
+    return results
+
+
+@pytest.fixture
+def phase_one_runs(monkeypatch):
+    """Counts the phase 1s that finish (each ends in the drive-out), from an empty entry."""
+    runs = []
+    drive_out = _Tableau.drive_out_artificials
+
+    def counted(tab):
+        runs.append(tab)
+        drive_out(tab)
+
+    monkeypatch.setattr(_Tableau, "drive_out_artificials", counted)
+    monkeypatch.setattr(simplex, "_last_phase_one", (None, None))
+    return runs
+
+
+class TestPhaseOneEntry:
+    """A solve whose start equals the last finished phase 1's copies its tableau.
+
+    Each check runs its calls in order with the entry in use, then again
+    with the entry dropped before every call, and the two must agree.
+    """
+
+    @staticmethod
+    def compare(calls, phase_one_runs) -> tuple[list, int, int]:
+        warm = outcomes(calls, clear=False)
+        warm_runs = len(phase_one_runs)
+        assert warm == outcomes(calls, clear=True)
+        return warm, warm_runs, len(phase_one_runs) - warm_runs
+
+    def test_repeated_polytope_is_solved_as_if_cold(self, phase_one_runs):
+        rng = random.Random(6007)
+        a, b = (ce_rows(random_rational_game(rng, 3, 3)) for _ in range(2))
+        objectives = [tuple(F(rng.randint(-6, 6)) for _ in range(9)) for _ in range(2)]
+        solves = [lambda rows=rows, c=c: simplex_solve(LpProblem(c, rows))
+                  for rows, c in [(a, objectives[0]), (a, objectives[1]), (b, objectives[0])]]
+        # A, A', B, A, A': the second solve of each pair of A hits the entry.
+        _, warm, cold = self.compare(solves + solves[:2], phase_one_runs)
+        assert (warm, cold) == (3, 5)
+
+    def test_chained_selection_on_one_game(self, phase_one_runs):
+        for seed, (rows, cols) in enumerate([(2, 2), (2, 3), (3, 3)]):
+            game = random_rational_game(random.Random(seed), rows, cols)
+            units = [tuple(F(i == j) for j in range(game.n_cells)) for i in range(game.n_cells)]
+            calls = [
+                lambda: simplex_sequence(ce_rows(game), units),
+                lambda: simplex_sequence(ce_rows(game), units, lexicographic=False),
+                lambda: solve_ce(game, CeObjective.MAX_TOTAL_LEX),
+                lambda: solve_ce(game, CeObjective.FEASIBLE),
+                lambda: ce_slice_bounds(game),
+                lambda: solve_ce(game, CeObjective.MAX_FAIR),
+            ]
+            phase_one_runs.clear()
+            _, warm, cold = self.compare(calls, phase_one_runs)
+            # the second sequence, FEASIBLE and the slice bounds hit
+            assert (warm, cold) == (3, 6)
+
+    def test_row_scale_is_part_of_the_start(self, phase_one_runs):
+        # Halving the first EQ row leaves its ints as they are but changes its
+        # weight in phase 1, which then stops at another vertex.
+        first, second = ((-3, -3, -1, 3), 1), ((-1, 2, -2, 2), 1)
+        whole = lp([0] * 4, [(first[0], EQ, first[1]), (second[0], EQ, second[1])])
+        half = lp([0] * 4, [([F(c, 2) for c in first[0]], EQ, F(first[1], 2)),
+                            (second[0], EQ, second[1])])
+        (a, b), _, _ = self.compare([lambda: simplex_solve(half), lambda: simplex_solve(whole)],
+                                    phase_one_runs)
+        assert a.values != b.values
+
+    def test_infeasible_start_is_not_kept(self, phase_one_runs):
+        feasible_lp = lp([1, 1], [([1, 1], EQ, 1)])
+        infeasible_lp = lp([1, 1], [([1, 1], EQ, 1), ([1, 0], GE, 2)])
+        calls = [lambda: simplex_solve(feasible_lp)] + [lambda: simplex_solve(infeasible_lp)] * 2
+        result, warm, cold = self.compare(calls + calls[:1], phase_one_runs)
+        assert result[1:3] == [LpInfeasibleError] * 2
+        assert (warm, cold) == (1, 2)
+
+    def test_unbounded_after_a_hit(self, phase_one_runs):
+        rows = [([1, -1], EQ, 1)]
+        calls = [lambda: simplex_solve(lp([-1, 0], rows)), lambda: simplex_solve(lp([1, 0], rows))]
+        result, warm, cold = self.compare(calls, phase_one_runs)
+        assert result[0].objective_value == -1 and result[1] is LpUnboundedError
+        assert (warm, cold) == (1, 2)
+
+    def test_a_battery_point_runs_phase_one_once(self, phase_one_runs):
+        """The battery mixes two vertices of one 4x4 CE polytope: one phase 1."""
+        rng = random.Random(7)
+        _random_ce_point(random_rational_game(rng, 4, 4), rng)
+        assert len(phase_one_runs) == 1
 
 
 class TestValidation:
