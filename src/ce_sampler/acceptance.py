@@ -39,10 +39,10 @@ from .analysis import (
 )
 from .ce_solver import (
     CeObjective,
+    build_ce_lp,
     ce_polytope_vertices,
     ce_slice_bounds,
     cell_order,
-    deviation_constraints,
     payoff_vector,
     solve_ce,
     total_payoff_vector,
@@ -88,8 +88,9 @@ def _criterion(name: str, budget: float):
     return register
 
 
-def criterion_names() -> list[str]:
-    return [name for name, _, _ in _REGISTRY]
+def criterion_names(only: str | None = None) -> list[str]:
+    """The registered criteria in order, or those whose name contains ``only``."""
+    return [name for name, _, _ in _REGISTRY if only is None or only in name]
 
 
 def run_criterion(name: str) -> CriterionResult:
@@ -112,9 +113,9 @@ def run_criterion(name: str) -> CriterionResult:
 
 def run_acceptance(only: str | None = None) -> list[CriterionResult]:
     """Run all criteria (or those whose name contains ``only``)."""
-    selected = [n for n in criterion_names() if only is None or only in n]
+    selected = criterion_names(only)
     if not selected:
-        raise KeyError(f"no criterion matches {only!r}")
+        raise ValueError(f"no criterion name contains {only!r}")
     return [run_criterion(name) for name in selected]
 
 
@@ -163,12 +164,9 @@ def _random_game(rng: random.Random, rows: int, cols: int) -> Game:
 
 
 def _random_ce_vertex(game: Game, rng: random.Random) -> JointDistribution:
-    n = game.n_cells
-    rows = deviation_constraints(game) + [
-        Constraint(tuple(F(1) for _ in range(n)), EQ, F(1))
-    ]
-    objective = tuple(F(rng.randint(-6, 6)) for _ in range(n))
-    solution = simplex_solve(LpProblem(objective, tuple(rows)))
+    rows = build_ce_lp(game, CeObjective.FEASIBLE).constraints
+    objective = tuple(F(rng.randint(-6, 6)) for _ in range(game.n_cells))
+    solution = simplex_solve(LpProblem(objective, rows))
     return JointDistribution(
         {cell: v for cell, v in zip(cell_order(game), solution.values) if v}
     )

@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .games import ZERO, Game, JointDistribution, JointStrategy
-from .simplex import EQ, GE, Constraint, LpProblem, _optimize
+from .simplex import EQ, GE, Constraint, LpProblem, _optimize, _scaled, _Tableau
 
 
 class CeObjective(Enum):
@@ -86,13 +86,14 @@ def deviation_constraints(game: Game) -> list[Constraint]:
     return rows
 
 
+def _unit(n: int, i: int) -> tuple[Fraction, ...]:
+    coeffs = [ZERO] * n
+    coeffs[i] = Fraction(1)
+    return tuple(coeffs)
+
+
 def _nonnegativity_constraints(n: int) -> list[Constraint]:
-    rows = []
-    for i in range(n):
-        coeffs = [ZERO] * n
-        coeffs[i] = Fraction(1)
-        rows.append(Constraint(tuple(coeffs), GE, ZERO))
-    return rows
+    return [Constraint(_unit(n, i), GE, ZERO) for i in range(n)]
 
 
 def _sum_to_one(n: int) -> Constraint:
@@ -115,12 +116,6 @@ def build_ce_lp(game: Game, objective: CeObjective | str = CeObjective.MAX_TOTAL
     else:
         vector = tuple(ZERO for _ in range(n))
     return LpProblem(vector, tuple(rows))
-
-
-def _unit(n: int, i: int) -> tuple[Fraction, ...]:
-    coeffs = [ZERO] * n
-    coeffs[i] = Fraction(1)
-    return tuple(coeffs)
 
 
 def solve_ce(game: Game, objective: CeObjective | str = CeObjective.MAX_TOTAL_LEX) -> JointDistribution:
@@ -164,58 +159,50 @@ def solve_ce(game: Game, objective: CeObjective | str = CeObjective.MAX_TOTAL_LE
 # ---------------------------------------------------------------------------
 
 
-def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Gaussian elimination; None when the system is singular."""
-    n = len(rhs)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot_row is None:
-            return None
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
-
-
 def ce_polytope_vertices(game: Game, max_systems: int = 100_000) -> list[JointDistribution]:
     """Enumerate every vertex of the CE polytope.
 
     Works by making n-1 of the inequality constraints tight alongside the
-    sum-to-one equality and keeping the feasible, unique solutions.  The
-    subset count explodes with game size, so this is guarded; larger games
-    should use :func:`ce_slice_bounds` instead.
+    sum-to-one equality and keeping the feasible, unique solutions.  Each
+    square system is an all-``==`` simplex tableau, so driving its
+    artificials out is fraction-free elimination; a row it deletes leaves
+    the system without a unique solution.  The solution is read as
+    integers over the tableau's ``det`` and checked against every
+    inequality by cross-multiplying; only the vertices kept become
+    ``Fraction``s.  The subset count explodes with game size, so this is
+    guarded; larger games should use :func:`ce_slice_bounds` instead.
     """
     n = game.n_cells
     inequalities = deviation_constraints(game) + _nonnegativity_constraints(n)
     if n > 1 and math.comb(len(inequalities), n - 1) > max_systems:
         raise ValueError("game too large for vertex enumeration; use ce_slice_bounds")
 
-    ones = [Fraction(1)] * n
-    seen: set[tuple[Fraction, ...]] = set()
+    # Each row, right-hand side last, times the lcm of its denominators:
+    # the same solutions, in ints.
+    rows = [_scaled(con.coeffs + (con.rhs,))[0] for con in inequalities]
+    tight = [Constraint(tuple(row[:-1]), EQ, row[-1]) for row in rows]
+    sum_to_one = _sum_to_one(n)
+    seen: set[tuple[int, ...]] = set()
     vertices: list[JointDistribution] = []
-    for chosen in combinations(inequalities, n - 1):
-        rows = [ones] + [list(c.coeffs) for c in chosen]
-        rhs = [Fraction(1)] + [c.rhs for c in chosen]
-        x = _solve_square(rows, rhs)
-        if x is None:
+    for chosen in combinations(tight, n - 1):
+        tab = _Tableau([sum_to_one, *chosen], n)
+        tab.drive_out_artificials()
+        if len(tab.basis) < n:
             continue
+        x = [0] * n
+        for b, v in zip(tab.basis, tab.rhs):
+            x[b] = v
+        det = tab.det
         if any(v < 0 for v in x):
             continue
-        if any(
-            sum((c * v for c, v in zip(con.coeffs, x)), ZERO) < con.rhs
-            for con in inequalities
-        ):
+        if any(sum(c * v for c, v in zip(row, x)) < row[-1] * det for row in rows):
             continue
-        key = tuple(x)
+        g = math.gcd(det, *x)
+        key = tuple(v // g for v in x) + (det // g,)
         if key not in seen:
             seen.add(key)
             vertices.append(
-                JointDistribution({s: v for s, v in zip(cell_order(game), x) if v})
+                JointDistribution({s: Fraction(v, det) for s, v in zip(cell_order(game), x) if v})
             )
     vertices.sort(key=lambda d: tuple(d.prob(s) for s in cell_order(game)), reverse=True)
     return vertices

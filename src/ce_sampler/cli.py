@@ -20,7 +20,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .acceptance import run_acceptance
+from .acceptance import criterion_names, run_acceptance
 from .analysis import POWERS, verify_distance_bounds, verify_payoff_guarantees, worst_case_adversary
 from .ce_solver import CeObjective, solve_ce
 from .emulation import MultisetEmulation, emulate
@@ -307,6 +307,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    if not criterion_names(args.only):
+        raise ValueError(f"--only {args.only}: no criterion name contains it")
     results = run_acceptance(only=args.only)
     width = max(len(r.name) for r in results)
     for result in results:

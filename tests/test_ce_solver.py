@@ -33,6 +33,9 @@ from conftest import random_rational_game
 # SHA-256 of solve_ce under every objective and ce_slice_bounds on 20
 # seeded games (2x2...4x4) and one 6x6, taken with the artificial start.
 SELECTION_OUTPUTS = "030fa2afe0f2560cc169a4a3bd3b9a2925de456a18ae730943202c2b55d70e33"
+# SHA-256 of ce_polytope_vertices on every oracle_games() entry, in the
+# order returned, one repr of the cell probabilities per vertex.
+ORACLE_VERTICES = "7cae1190c3704b66f748897a533a13c9d6a13acb6a5dba99a10ccb997c1ca8d1"
 
 
 def satisfies(constraint: Constraint, x: list[F]) -> bool:
@@ -266,6 +269,22 @@ class TestVertices:
             vertices = ce_polytope_vertices(game)
             assert vertices, "CE polytope can never be empty"
             assert all(check_ce(game, v) for v in vertices)
+
+    def test_inconsistent_systems_are_skipped(self):
+        # Row 1 strictly dominates for player 1, so x00 = x01 = 0 beside
+        # x10 + x11 = 0 contradicts the sum-to-one row.
+        game = Game.from_payoffs([[0, 0], [1, 1]], [[0, 0], [0, 0]])
+        vertices = ce_polytope_vertices(game)
+        assert [as_vector(game, v) for v in vertices] == [[0, 0, 1, 0], [0, 0, 0, 1]]
+        assert cut_vertices(game) == {tuple(as_vector(game, v)) for v in vertices}
+
+    def test_vertex_lists_are_pinned(self):
+        """The order and multiplicity of the vertices, which a set cannot see."""
+        digest = hashlib.sha256()
+        for index in range(len(oracle_games())):
+            for x in library_vertices(index):
+                digest.update(repr([str(v) for v in x]).encode())
+        assert digest.hexdigest() == ORACLE_VERTICES
 
     def test_large_game_guard(self):
         rng = random.Random(61)

@@ -358,7 +358,9 @@ class TestReproduce:
 
     def test_unknown_filter(self, capsys):
         assert run_cli("reproduce", "--only", "nonexistent") == 2
-        assert "nonexistent" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "nonexistent" in err
+        assert err == "error: --only nonexistent: no criterion name contains it\n"
 
 
 @pytest.mark.parametrize(
