@@ -140,15 +140,20 @@ def normalize(game: Game) -> Game:
 
     Scaling is per player, which preserves every best-response comparison
     and therefore every equilibrium of the game.  A player whose utilities
-    are all equal comes out as all zeros.  Idempotent.
+    are all equal comes out as all zeros.  Idempotent.  The result is kept
+    on ``game`` outside its fields (equality, hash and repr are unchanged),
+    so a later call returns the same object.
     """
-    return Game(
-        game.strategies_1,
-        game.strategies_2,
-        _rescaled(game.u1),
-        _rescaled(game.u2),
-        normalized=True,
-    )
+    memo = game.__dict__.get("_normalized")
+    if memo is None:
+        memo = game.__dict__["_normalized"] = Game(
+            game.strategies_1,
+            game.strategies_2,
+            _rescaled(game.u1),
+            _rescaled(game.u2),
+            normalized=True,
+        )
+    return memo
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,8 @@ def parse_game(obj: Mapping[str, Any], where: str = "<game>") -> Game:
          "u1": [["4","0"], ["0","2"]],
          "u2": [["2","0"], ["0","4"]]}
     """
+    if not isinstance(obj, dict):
+        raise GameFormatError(f"{where}: a game must be a JSON object")
     strategies = obj.get("strategies")
     if (
         not isinstance(strategies, list)

@@ -12,7 +12,10 @@ Bareiss 1968), so no ``fractions.Fraction`` is built while pivoting.
 Every pivoting decision reads the sign of an int or compares two
 cross-multiplied ratios, which are the decisions the rational tableau
 makes, so the pivot path is the one a ``Fraction`` tableau takes.
-Fractions appear only in the returned vertices and values.
+Fractions appear only in the returned vertices and values.  A pivot
+computes only entries a later step can read: the artificial columns
+leave at the drive-out that ends phase 1, and a pair of zeros stays 0
+without arithmetic.
 :func:`simplex_sequence` optimizes a sequence of objectives on one
 tableau: phase 1 runs once, and each later objective starts from the
 previous optimal basis.  In a lexicographic sequence each step is
@@ -36,10 +39,10 @@ takes its CE points from them), and only CE selection, whose every
 answer is unique, uses the slack start.
 
 A repeated solve of the same constraints skips phase 1: one module-level
-entry keeps the integer start of the last finished phase 1 (sizes,
-artificial row scales, starting basis, right-hand side and every row,
-compared by value) with the tableau phase 1 reached, and because phase 1
-reads nothing but that start, copying that tableau gives exactly the
+entry is keyed on the inputs of the last finished phase 1 (the number of
+variables, the start kind and the constraint rows, compared by value)
+and holds the tableau phase 1 reached.  Phase 1 reads nothing but those
+inputs, so a hit copies that tableau, builds none, and gives exactly the
 pivots, vertices and errors a fresh phase 1 would.
 """
 
@@ -143,7 +146,9 @@ class _Tableau:
     measures the row's scale times the unscaled slack; only the other rows
     get an artificial, and ``scales`` lists theirs.  Rescaling a slack
     column by a positive factor moves no pivot decision, and the vertex is
-    read from the structural columns only.
+    read from the structural columns only.  ``drive_out_artificials``
+    drops every artificial column, so afterwards ``width`` is
+    ``first_artificial``.
     """
 
     def __init__(
@@ -209,15 +214,17 @@ class _Tableau:
             if i == row:
                 continue
             f = other[col]
+            # A pair of zeros stays 0, and so does a rescaled 0: skip their arithmetic.
             if f:
-                self.matrix[i] = [(p * v - f * w) // det for v, w in zip(other, line)]
+                self.matrix[i] = [(p * v - f * w) // det if v or w else 0
+                                  for v, w in zip(other, line)]
                 self.rhs[i] = (p * self.rhs[i] - f * b) // det
             elif p != det:  # the row is unchanged but moves to the new det
-                self.matrix[i] = [p * v // det for v in other]
+                self.matrix[i] = [p * v // det if v else 0 for v in other]
                 self.rhs[i] = p * self.rhs[i] // det
         if zrow is not None:
             f = zrow[col]
-            zrow[:] = [(p * v - f * w) // det for v, w in zip(zrow, line)]
+            zrow[:] = [(p * v - f * w) // det if v or w else 0 for v, w in zip(zrow, line)]
         self.det = p
         self.basis[row] = col
 
@@ -260,8 +267,18 @@ class _Tableau:
                 x[b] = Fraction(self.rhs[i], self.det)
         return tuple(x)
 
+    def copy(self) -> "_Tableau":
+        """The same tableau in lists of its own."""
+        tab = object.__new__(_Tableau)
+        tab.__dict__.update(self.__dict__)
+        tab.matrix, tab.rhs, tab.basis = [line[:] for line in self.matrix], self.rhs[:], self.basis[:]
+        return tab
+
     def drive_out_artificials(self) -> None:
-        limit = self.first_artificial
+        # Nothing reads an artificial column after phase 1, so they go first.
+        limit = self.width = self.first_artificial
+        for line in self.matrix:
+            del line[limit:]
         row = 0
         while row < len(self.matrix):
             if self.basis[row] >= limit:
@@ -296,10 +313,10 @@ def simplex_sequence(
     return _optimize(constraints, objectives, lexicographic, slack_start=False)
 
 
-# The integer start of the last tableau whose phase 1 succeeded, and that
-# tableau's (det, matrix, rhs, basis) after drive_out_artificials.  Both are
-# private copies held as lists: rows built as tuples and then dropped pile up
-# in CPython's per-size tuple free lists (0.6-0.8 MB of peak RSS over chained CE
+# The inputs of the last tableau whose phase 1 succeeded, (n, slack_start,
+# constraints) compared by value, and that tableau after drive_out_artificials.
+# Its rows stay lists: rows built as tuples and then dropped pile up in
+# CPython's per-size tuple free lists (0.6-0.8 MB of peak RSS over chained CE
 # selections).
 _last_phase_one: tuple = (None, None)
 
@@ -323,17 +340,13 @@ def _optimize(
         raise ValueError("objective lengths differ")
     if any(len(con.coeffs) != n for con in constraints):
         raise ValueError("constraint width does not match objective length")
-    tab = _Tableau(constraints, n, slack_start)
-
-    if tab.scales:
-        global _last_phase_one
-        start = (n, tab.first_artificial, tab.scales, tab.basis, tab.rhs, tab.matrix)
-        if _last_phase_one[0] == start:
-            tab.det, matrix, rhs, basis = _last_phase_one[1]
-            tab.matrix, tab.rhs, tab.basis = [line[:] for line in matrix], rhs[:], basis[:]
-        else:
-            # phase 1 pivots these lists in place, so the entry keeps copies
-            start = start[:3] + (tab.basis[:], tab.rhs[:], [line[:] for line in tab.matrix])
+    global _last_phase_one
+    key = (n, slack_start, tuple(constraints))
+    if _last_phase_one[0] == key:
+        tab = _last_phase_one[1].copy()
+    else:
+        tab = _Tableau(constraints, n, slack_start)
+        if tab.scales:
             # Artificial i carries scales[i] times the unscaled artificial, so
             # the cost -1/scales[i] makes phase 1 minimize the same sum.
             phase1_scale = math.lcm(*tab.scales)
@@ -342,8 +355,8 @@ def _optimize(
             if tab.value(phase1_cost, phase1_scale) != 0:
                 raise LpInfeasibleError("artificial variables cannot be driven to zero")
             tab.drive_out_artificials()
-            _last_phase_one = start, (tab.det, [line[:] for line in tab.matrix], tab.rhs[:],
-                                      tab.basis[:])
+            # phase 2 pivots tab in place, so the entry keeps a copy
+            _last_phase_one = key, tab.copy()
 
     columns: Sequence[int] = range(tab.first_artificial)
     solutions = []

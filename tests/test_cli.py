@@ -39,6 +39,14 @@ class TestSolveCe:
         assert code == 2
         assert "absent.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '"bos"', "null"])
+    def test_game_that_is_not_an_object(self, tmp_path, capsys, text):
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        assert run_cli("solve-ce", "--game", str(path)) == 2
+        err = capsys.readouterr().err
+        assert "g.json" in err and "JSON object" in err and "Traceback" not in err
+
 
 class TestRun:
     def test_report_deterministic_for_fixed_seed(self, tmp_path):

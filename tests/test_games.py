@@ -65,6 +65,20 @@ class TestNormalize:
             once = normalize(game)
             assert normalize(once) == once
 
+    def test_result_is_kept_on_the_game(self):
+        rng = random.Random(12)
+        for _ in range(10):
+            rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+            game = random_rational_game(rng, rows, cols)
+            twin = Game.from_payoffs(game.u1, game.u2)
+            before = repr(game), hash(game)
+            norm = normalize(game)
+            assert normalize(game) is norm
+            assert normalize(twin) == norm
+            assert game == twin and hash(game) == hash(twin)
+            assert (repr(game), hash(game)) == before
+            assert normalize(norm) == norm
+
     def test_normalized_flag_validates_range(self):
         with pytest.raises(ValueError):
             Game.from_payoffs([[2]], [[0]], normalized=True)

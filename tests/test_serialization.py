@@ -10,6 +10,7 @@ from ce_sampler.acceptance import bundled_game
 from ce_sampler.protocol import Message, RoundRecord, Transcript
 from ce_sampler.serialization import (
     DimensionMismatchError,
+    GameFormatError,
     MalformedJsonError,
     MissingFileError,
     NonRationalEntryError,
@@ -68,6 +69,17 @@ class TestGameParsing:
         with pytest.raises(MalformedJsonError) as err:
             parse_game_file(path)
         assert "broken.json" in str(err.value)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"bos"', "null"])
+    def test_top_level_must_be_an_object(self, tmp_path, text):
+        with pytest.raises(GameFormatError) as err:
+            parse_game(json.loads(text), where="g.json")
+        assert "g.json" in str(err.value)
+        path = tmp_path / "listed.json"
+        path.write_text(text)
+        with pytest.raises(GameFormatError) as err:
+            parse_game_file(path)
+        assert "listed.json" in str(err.value)
 
     def test_bundled_games(self):
         bos = bundled_game("bos")

@@ -13,6 +13,7 @@ from ce_sampler.simplex import (
     EQ,
     GE,
     LE,
+    _RELATIONS,
     Constraint,
     LpInfeasibleError,
     LpProblem,
@@ -443,6 +444,81 @@ class TestPhaseOneEntry:
         rng = random.Random(7)
         _random_ce_point(random_rational_game(rng, 4, 4), rng)
         assert len(phase_one_runs) == 1
+
+    def test_a_hit_builds_no_tableau(self, phase_one_runs, monkeypatch):
+        """The second solve of a battery point copies the entry instead of building."""
+        builds = []
+        init = _Tableau.__init__
+
+        def counted(tab, *args):
+            builds.append(tab)
+            init(tab, *args)
+
+        monkeypatch.setattr(_Tableau, "__init__", counted)
+        rng = random.Random(7)
+        _random_ce_point(random_rational_game(rng, 4, 4), rng)
+        assert (len(builds), len(phase_one_runs)) == (1, 1)
+
+
+def dense_pivot(tab: _Tableau, zrow: list[int], row: int, col: int) -> tuple:
+    """One fraction-free (Bareiss) pivot over every entry, zeros included.
+
+    Returns the matrix, right-hand side, objective row and det that
+    ``tab._pivot(row, col, zrow)`` should leave, and checks that every
+    division is exact.
+    """
+    line, b = tab.matrix[row], tab.rhs[row]
+    if line[col] < 0:
+        line, b = [-v for v in line], -b
+    p, det = line[col], tab.det
+
+    def step(other, pivot_line):
+        f = other[col]
+        products = [p * v - f * w for v, w in zip(other, pivot_line)]
+        assert all(v % det == 0 for v in products)
+        return [v // det for v in products]
+
+    full = line + [b]  # the right-hand side as one more column
+    stepped = [full if i == row else step(other + [r], full)
+               for i, (other, r) in enumerate(zip(tab.matrix, tab.rhs))]
+    return [m[:-1] for m in stepped], [m[-1] for m in stepped], step(zrow, line), p
+
+
+class TestLiveEntries:
+    """The pivot computes only the entries that a later step reads."""
+
+    def test_artificial_columns_leave_at_the_drive_out(self, phase_one_runs):
+        game = random_rational_game(random.Random(8), 3, 3)
+        rows, n = ce_rows(game), game.n_cells
+        simplex_solve(LpProblem((F(1),) * n, rows))
+        _optimize(rows, [(F(1),) * n], lexicographic=True, slack_start=True)
+        # an all-== system, as vertex enumeration builds one
+        tight = [Constraint(c.coeffs, EQ, c.rhs) for c in rows[: n - 1]]
+        _Tableau([rows[-1], *tight], n).drive_out_artificials()
+        assert [len(tab.scales) for tab in phase_one_runs] == [len(rows) - n, 1, n]
+        for tab in phase_one_runs:
+            assert tab.width == tab.first_artificial
+            assert all(len(line) == tab.first_artificial for line in tab.matrix)
+
+    def test_pivot_matches_a_dense_bareiss_pivot(self):
+        rng = random.Random(9)
+        for _ in range(60):
+            n = rng.randint(2, 5)
+            dead = rng.randrange(n)  # a column of zeros
+            rows = [Constraint((F(0),) * n, EQ, F(0))]  # a row of zeros
+            for _ in range(rng.randint(2, 5)):
+                coeffs = [0 if j == dead or rng.random() < 0.5 else rng.randint(-4, 4)
+                          for j in range(n)]
+                rows.append(Constraint(tuple(coeffs), rng.choice(_RELATIONS), rng.randint(-3, 3)))
+            rng.shuffle(rows)
+            tab = _Tableau(rows, n)
+            zrow = [rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(tab.width)]
+            for _ in range(4):
+                live = [(i, j) for i, line in enumerate(tab.matrix) for j, v in enumerate(line) if v]
+                row, col = rng.choice(live)
+                expected = dense_pivot(tab, zrow, row, col)
+                tab._pivot(row, col, zrow)
+                assert (tab.matrix, tab.rhs, zrow, tab.det) == expected
 
 
 class TestValidation:
